@@ -9,39 +9,49 @@ namespace qadist::broker {
 std::vector<double> score_shards(const CollectionStats& stats,
                                  std::span<const std::string> keywords) {
   const std::size_t num_shards = stats.num_shards();
-  std::vector<double> scores(num_shards, kCoriDefaultBelief);
-  if (num_shards == 0 || keywords.empty()) return scores;
+  if (num_shards == 0 || keywords.empty()) {
+    return std::vector<double>(num_shards, kCoriDefaultBelief);
+  }
 
   const double c = static_cast<double>(num_shards);
   const double avg_cw = std::max(stats.average_words(), 1.0);
   const double log_c = std::log(c + 1.0);
 
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const ir::ShardTermStats& shard = stats.shard(s);
-    const double cw_ratio = static_cast<double>(shard.words) / avg_cw;
-    double belief_sum = 0.0;
-    std::size_t scored_terms = 0;
-    for (const std::string& keyword : keywords) {
-      const std::size_t cf = stats.shards_containing(keyword);
-      // A term no shard contains cannot discriminate between shards (and
-      // cf = 0 would make I blow up); it contributes no evidence at all.
-      if (cf == 0) continue;
-      ++scored_terms;
-      const auto it = shard.df.find(keyword);
-      const double df = it == shard.df.end()
-                            ? 0.0
-                            : static_cast<double>(it->second);
-      const double t_belief = df / (df + 50.0 + 150.0 * cw_ratio);
-      const double i_belief =
-          std::log((c + 0.5) / static_cast<double>(cf)) / log_c;
-      belief_sum += kCoriDefaultBelief +
-                    (1.0 - kCoriDefaultBelief) * t_belief * i_belief;
-    }
-    if (scored_terms > 0) {
-      scores[s] = belief_sum / static_cast<double>(scored_terms);
+  // Each keyword is resolved once; beliefs then accumulate per shard in
+  // keyword order, exactly as a per-shard loop over the keywords would add
+  // them. A shard without the term adds exactly kCoriDefaultBelief
+  // (T = 0), so the sums are bit-identical to that loop's.
+  std::vector<double> belief_sums(num_shards, 0.0);
+  std::size_t scored_terms = 0;
+  for (const std::string& keyword : keywords) {
+    const std::span<const ShardDf> containing = stats.term_shards(keyword);
+    // A term no shard contains cannot discriminate between shards (and
+    // cf = 0 would make I blow up); it contributes no evidence at all.
+    if (containing.empty()) continue;
+    ++scored_terms;
+    const double i_belief =
+        std::log((c + 0.5) / static_cast<double>(containing.size())) / log_c;
+    auto next = containing.begin();
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      double belief = kCoriDefaultBelief;
+      if (next != containing.end() && next->shard == s) {
+        const double cw_ratio =
+            static_cast<double>(stats.shard_words(s)) / avg_cw;
+        const double df = static_cast<double>(next->df);
+        const double t_belief = df / (df + 50.0 + 150.0 * cw_ratio);
+        belief = kCoriDefaultBelief +
+                 (1.0 - kCoriDefaultBelief) * t_belief * i_belief;
+        ++next;
+      }
+      belief_sums[s] += belief;
     }
   }
-  return scores;
+  if (scored_terms == 0) {
+    std::fill(belief_sums.begin(), belief_sums.end(), kCoriDefaultBelief);
+    return belief_sums;
+  }
+  for (double& sum : belief_sums) sum /= static_cast<double>(scored_terms);
+  return belief_sums;
 }
 
 namespace {

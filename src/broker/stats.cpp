@@ -5,17 +5,41 @@ namespace qadist::broker {
 CollectionStats CollectionStats::from_shard_stats(
     std::vector<ir::ShardTermStats> shards) {
   CollectionStats stats;
-  stats.shards_ = std::move(shards);
+  // Pass 1: number the terms and count each one's shards (cf) in
+  // offsets_[id + 1]; pass 2 revisits every shard map in the same iteration
+  // order (the maps are not modified in between) and fills the lists in
+  // ascending shard order.
+  stats.offsets_.push_back(0);
+  std::vector<std::uint32_t> pair_ids;
   double total_words = 0.0;
-  for (const auto& shard : stats.shards_) {
+  for (const auto& shard : shards) {
+    stats.shard_words_.push_back(shard.words);
     total_words += static_cast<double>(shard.words);
     for (const auto& [term, df] : shard.df) {
       (void)df;
-      ++stats.shard_df_[term];
+      const auto [it, inserted] = stats.term_ids_.try_emplace(
+          term, static_cast<std::uint32_t>(stats.offsets_.size() - 1));
+      if (inserted) stats.offsets_.push_back(0);
+      ++stats.offsets_[it->second + 1];
+      pair_ids.push_back(it->second);
     }
   }
-  if (!stats.shards_.empty()) {
-    stats.average_words_ = total_words / static_cast<double>(stats.shards_.size());
+  for (std::size_t t = 1; t < stats.offsets_.size(); ++t) {
+    stats.offsets_[t] += stats.offsets_[t - 1];
+  }
+  stats.lists_.resize(stats.offsets_.back());
+  std::vector<std::uint32_t> fill(stats.offsets_.begin(),
+                                  stats.offsets_.end() - 1);
+  std::size_t pair = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    for (const auto& [term, df] : shards[s].df) {
+      (void)term;
+      const std::uint32_t id = pair_ids[pair++];
+      stats.lists_[fill[id]++] = ShardDf{static_cast<std::uint32_t>(s), df};
+    }
+  }
+  if (!shards.empty()) {
+    stats.average_words_ = total_words / static_cast<double>(shards.size());
   }
   return stats;
 }
@@ -30,9 +54,13 @@ CollectionStats CollectionStats::from_indexes(
   return from_shard_stats(std::move(extracted));
 }
 
-std::size_t CollectionStats::shards_containing(const std::string& term) const {
-  const auto it = shard_df_.find(term);
-  return it == shard_df_.end() ? 0 : it->second;
+std::span<const ShardDf> CollectionStats::term_shards(
+    const std::string& term) const {
+  const auto it = term_ids_.find(term);
+  if (it == term_ids_.end()) return {};
+  const std::uint32_t begin = offsets_[it->second];
+  return std::span<const ShardDf>(lists_).subspan(
+      begin, offsets_[it->second + 1] - begin);
 }
 
 }  // namespace qadist::broker

@@ -1,5 +1,7 @@
 #include "sched/failure_detector.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace qadist::sched {
@@ -28,6 +30,11 @@ FailureDetector::Peer& FailureDetector::peer(NodeId node) {
   return peers_[node];
 }
 
+void FailureDetector::hear(Peer& p, Seconds now) {
+  p.last_heard = now;
+  if (now < watermark_) watermark_ = now;
+}
+
 PeerState FailureDetector::heartbeat(NodeId node, Seconds now) {
   Peer& p = peer(node);
   const PeerState before = p.known ? p.state : PeerState::kAlive;
@@ -45,7 +52,7 @@ PeerState FailureDetector::heartbeat(NodeId node, Seconds now) {
   }
   p.known = true;
   p.state = PeerState::kAlive;
-  p.last_heard = now;
+  hear(p, now);
   p.hint_raised = false;
   return before;
 }
@@ -55,7 +62,7 @@ void FailureDetector::suspect_hint(NodeId node, Seconds now) {
   if (!p.known) {
     // Enroll so the suspicion can later harden into a confirmed death.
     p.known = true;
-    p.last_heard = now;
+    hear(p, now);
   }
   if (p.state == PeerState::kAlive) {
     // Within the hysteresis window, a hint against a peer whose heartbeats
@@ -79,6 +86,11 @@ std::vector<DetectorTransition> FailureDetector::sweep(Seconds now) {
   std::vector<DetectorTransition> fired;
   const Seconds suspect_after =
       config_.suspect_after_missed * config_.heartbeat_period;
+  if (now - watermark_ <= std::min(suspect_after, config_.confirm_dead_after)) {
+    return fired;
+  }
+  peers_scanned_ += peers_.size();
+  watermark_ = std::numeric_limits<Seconds>::infinity();
   for (NodeId id = 0; id < peers_.size(); ++id) {
     Peer& p = peers_[id];
     if (!p.known || p.state == PeerState::kDead) continue;
@@ -94,6 +106,8 @@ std::vector<DetectorTransition> FailureDetector::sweep(Seconds now) {
       p.state = PeerState::kDead;
       ++deaths_confirmed_;
       fired.push_back({id, PeerState::kSuspect, PeerState::kDead});
+    } else if (p.last_heard < watermark_) {
+      watermark_ = p.last_heard;
     }
   }
   return fired;

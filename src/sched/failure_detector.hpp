@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -71,9 +72,16 @@ class FailureDetector {
   void suspect_hint(NodeId node, Seconds now);
 
   /// Applies silence-based transitions as of `now` and returns those that
-  /// fired. Safe to call from many monitors per period — transitions are
-  /// edge-triggered, so repeated sweeps at the same instant report nothing
-  /// new.
+  /// fired, in ascending node id. Safe to call from many monitors per
+  /// period — transitions are edge-triggered, so repeated sweeps at the same
+  /// instant report nothing new.
+  ///
+  /// Steady-state sweeps are O(1): the detector keeps a watermark, a lower
+  /// bound on last_heard over tracked, not-dead peers. While
+  /// `now - watermark <= min(suspect_after, confirm_dead_after)` no peer can
+  /// be silent past either threshold (IEEE subtraction is monotone), so the
+  /// sweep returns at once; otherwise it scans every peer and recomputes
+  /// the watermark exactly.
   std::vector<DetectorTransition> sweep(Seconds now);
 
   [[nodiscard]] PeerState state(NodeId node) const;
@@ -95,6 +103,9 @@ class FailureDetector {
   [[nodiscard]] std::uint64_t hints_suppressed() const {
     return hints_suppressed_;
   }
+  /// Peer entries examined by full sweep scans so far (0 per sweep that the
+  /// watermark answers).
+  [[nodiscard]] std::uint64_t peers_scanned() const { return peers_scanned_; }
 
  private:
   struct Peer {
@@ -109,9 +120,14 @@ class FailureDetector {
   };
 
   Peer& peer(NodeId node);
+  /// Marks `p` heard at `now`, lowering the watermark if needed.
+  void hear(Peer& p, Seconds now);
 
   FailureDetectorConfig config_;
   std::vector<Peer> peers_;  // indexed by NodeId
+  /// Lower bound on last_heard over known, not-dead peers; +inf when none.
+  Seconds watermark_ = std::numeric_limits<Seconds>::infinity();
+  std::uint64_t peers_scanned_ = 0;
   std::uint64_t suspicions_raised_ = 0;
   std::uint64_t suspicions_cleared_ = 0;
   std::uint64_t deaths_confirmed_ = 0;

@@ -24,6 +24,7 @@ void LoadTable::update(NodeId node, const ResourceLoad& load, Seconds now,
   e.reserved.cpu *= reservation_keep;
   e.reserved.disk *= reservation_keep;
   e.last_update = now;
+  if (now < watermark_) watermark_ = now;
 }
 
 void LoadTable::reserve(NodeId node, const ResourceLoad& delta) {
@@ -50,8 +51,16 @@ bool LoadTable::is_stale(NodeId node) const {
 }
 
 void LoadTable::expire(Seconds now, Seconds timeout) {
+  if (now - watermark_ <= timeout) return;
+  entries_scanned_ += entries_.size();
+  watermark_ = std::numeric_limits<Seconds>::infinity();
   for (auto& e : entries_) {
-    if (e.alive && now - e.last_update > timeout) e.alive = false;
+    if (!e.alive) continue;
+    if (now - e.last_update > timeout) {
+      e.alive = false;
+    } else if (e.last_update < watermark_) {
+      watermark_ = e.last_update;
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -35,7 +37,10 @@ class LoadTable {
   /// Adds a provisional load delta on top of the last broadcast value.
   void reserve(NodeId node, const ResourceLoad& delta);
 
-  /// Drops nodes whose last broadcast is older than `timeout`.
+  /// Drops nodes whose last broadcast is older than `timeout`. O(1) while
+  /// `now - watermark <= timeout`, where the watermark is a lower bound on
+  /// last_update over members (lowered by update(), recomputed exactly by
+  /// every full scan): then no member can be older than the timeout.
   void expire(Seconds now, Seconds timeout);
 
   /// Drops one node immediately — a coordinator whose reply timeout fired
@@ -71,6 +76,12 @@ class LoadTable {
 
   [[nodiscard]] std::size_t size() const;
 
+  /// Entries examined by full expire() scans so far (0 per expire() that
+  /// the watermark answers).
+  [[nodiscard]] std::uint64_t entries_scanned() const {
+    return entries_scanned_;
+  }
+
  private:
   struct Entry {
     bool alive = false;
@@ -81,6 +92,9 @@ class LoadTable {
   };
 
   std::vector<Entry> entries_;  // indexed by NodeId
+  /// Lower bound on last_update over members; +inf when there are none.
+  Seconds watermark_ = std::numeric_limits<Seconds>::infinity();
+  std::uint64_t entries_scanned_ = 0;
 
   Entry& entry(NodeId node);
   [[nodiscard]] const Entry* find(NodeId node) const;

@@ -24,7 +24,7 @@ class Event {
     auto waiters = std::move(waiters_);
     waiters_.clear();
     for (auto h : waiters) {
-      sim_.schedule(0.0, [h] { h.resume(); });
+      sim_.schedule(0.0, h);
     }
   }
 
@@ -67,7 +67,7 @@ class WaitGroup {
       auto waiters = std::move(waiters_);
       waiters_.clear();
       for (auto h : waiters) {
-        sim_.schedule(0.0, [h] { h.resume(); });
+        sim_.schedule(0.0, h);
       }
     }
   }

@@ -81,7 +81,7 @@ void FairShareServer::on_completion(std::uint64_t generation) {
                << name_ << ": completion event found no finished flow");
   reschedule();
   for (auto h : finished) {
-    sim_.schedule(0.0, [h] { h.resume(); });
+    sim_.schedule(0.0, h);
   }
 }
 
@@ -89,7 +89,7 @@ void FairShareServer::enqueue(double work, std::coroutine_handle<> h) {
   if (work <= 0.0 || halted_) {
     // Halted: resume without serving; the customer's post-await crash
     // check observes the dead node and abandons the work.
-    sim_.schedule(0.0, [h] { h.resume(); });
+    sim_.schedule(0.0, h);
     return;
   }
   advance();
@@ -105,7 +105,7 @@ void FairShareServer::halt() {
   std::vector<Flow> orphans = std::move(flows_);
   flows_.clear();
   for (const auto& flow : orphans) {
-    sim_.schedule(0.0, [h = flow.handle] { h.resume(); });
+    sim_.schedule(0.0, flow.handle);
   }
 }
 
@@ -122,7 +122,7 @@ bool FairShareServer::cancel(std::coroutine_handle<> h) {
   if (it == flows_.end()) return false;
   flows_.erase(it);  // no work_served_ credit: the work was abandoned
   reschedule();
-  sim_.schedule(0.0, [h] { h.resume(); });
+  sim_.schedule(0.0, h);
   return true;
 }
 

@@ -77,7 +77,7 @@ class Link {
       }
       const Seconds lead = link_.per_message_latency_ + verdict_.jitter;
       if (!verdict_.delivered) {
-        link_.sim_->schedule(lead, [h] { h.resume(); });
+        link_.sim_->schedule(lead, h);
         return;
       }
       const double wire_bytes = verdict_.duplicated ? 2.0 * bytes_ : bytes_;

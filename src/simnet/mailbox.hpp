@@ -37,7 +37,7 @@ class Mailbox {
       if (r->settled != nullptr) *r->settled = true;
       r->slot = std::move(value);
       auto h = r->handle;
-      sim_->schedule(0.0, [h] { h.resume(); });
+      sim_->schedule(0.0, h);
     } else {
       queue_.push_back(std::move(value));
     }

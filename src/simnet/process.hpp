@@ -56,7 +56,7 @@ class Delay {
 
   [[nodiscard]] bool await_ready() const noexcept { return delay_ <= 0.0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    sim_.schedule(delay_, [h] { h.resume(); });
+    sim_.schedule(delay_, h);
   }
   void await_resume() const noexcept {}
 

@@ -65,7 +65,7 @@ class Resource {
       // Hand the unit directly to the oldest waiter; available_ stays as-is.
       auto h = waiters_.front();
       waiters_.pop_front();
-      sim_.schedule(0.0, [h] { h.resume(); });
+      sim_.schedule(0.0, h);
     } else {
       ++available_;
       QADIST_CHECK(available_ <= capacity_);

@@ -1,5 +1,6 @@
 #include "simnet/simulation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -7,32 +8,76 @@
 
 namespace qadist::simnet {
 
-void Simulation::schedule(Seconds delay, std::function<void()> fn) {
+namespace {
+
+/// Heap comparator: true if `a` fires after `b`, so the heap top is the
+/// earliest (when, seq).
+template <typename Entry>
+bool later(const Entry& a, const Entry& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.seq > b.seq;
+}
+
+}  // namespace
+
+Seconds Simulation::checked_delay(Seconds delay) {
   QADIST_CHECK(!std::isnan(delay),
                << "NaN delay would corrupt the event-queue ordering");
-  if (delay < 0.0) delay = 0.0;
-  schedule_at(now_ + delay, std::move(fn));
+  return delay < 0.0 ? 0.0 : delay;
+}
+
+Seconds Simulation::checked_time(Seconds when) const {
+  QADIST_CHECK(!std::isnan(when),
+               << "NaN timestamp would corrupt the event-queue ordering");
+  return when < now_ ? now_ : when;
+}
+
+void Simulation::schedule(Seconds delay, std::function<void()> fn) {
+  schedule_at(now_ + checked_delay(delay), std::move(fn));
+}
+
+void Simulation::schedule(Seconds delay, std::coroutine_handle<> h) {
+  QADIST_CHECK(h != nullptr);
+  push(checked_time(now_ + checked_delay(delay)), h.address(), 0);
 }
 
 void Simulation::schedule_at(Seconds when, std::function<void()> fn) {
   QADIST_CHECK(fn != nullptr);
-  QADIST_CHECK(!std::isnan(when),
-               << "NaN timestamp would corrupt the event-queue ordering");
-  if (when < now_) when = now_;
-  queue_.push(Entry{when, next_seq_++, std::move(fn)});
+  when = checked_time(when);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  push(when, nullptr, slot);
+}
+
+void Simulation::push(Seconds when, void* frame, std::uint32_t slot) {
+  heap_.push_back(Entry{when, next_seq_++, frame, slot});
+  std::push_heap(heap_.begin(), heap_.end(), later<Entry>);
 }
 
 bool Simulation::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; moving the callback out requires a copy
-  // otherwise, so we const_cast the known-unique top entry.
-  auto& top = const_cast<Entry&>(queue_.top());
-  Seconds when = top.when;
-  auto fn = std::move(top.fn);
-  queue_.pop();
-  QADIST_CHECK(when >= now_, << "time went backwards: " << when << " < " << now_);
-  now_ = when;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), later<Entry>);
+  const Entry e = heap_.back();
+  heap_.pop_back();
+  QADIST_CHECK(e.when >= now_,
+               << "time went backwards: " << e.when << " < " << now_);
+  now_ = e.when;
   ++executed_;
+  if (e.frame != nullptr) {
+    std::coroutine_handle<>::from_address(e.frame).resume();
+    return true;
+  }
+  // Move the callback out before running it: it may schedule more events,
+  // which can reuse its slot or grow the slab.
+  auto fn = std::move(callbacks_[e.slot]);
+  free_slots_.push_back(e.slot);
   fn();
   return true;
 }
@@ -44,7 +89,7 @@ Seconds Simulation::run() {
 }
 
 Seconds Simulation::run_until(Seconds deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) {
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     step();
   }
   if (now_ < deadline) now_ = deadline;

@@ -161,7 +161,7 @@ TEST(CoriTest, CollectionStatsSummaries) {
   // avg_cw is the mean of the per-shard word totals.
   double total = 0.0;
   for (std::size_t s = 0; s < 4; ++s) {
-    total += static_cast<double>(stats.shard(s).words);
+    total += static_cast<double>(stats.shard_words(s));
   }
   EXPECT_DOUBLE_EQ(stats.average_words(), total / 4.0);
 }
