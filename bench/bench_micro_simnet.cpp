@@ -1,6 +1,7 @@
 // Micro-benchmarks of the discrete-event engine: raw event throughput,
-// coroutine process churn, and fair-share server arrival/departure cost
-// (O(F) per event — the relevant scaling knob for big clusters).
+// coroutine process churn, fair-share server arrival/departure cost
+// (O(F) per event — the relevant scaling knob for big clusters), load
+// sampling between arrivals, and timed receives that a send wins.
 
 #include <benchmark/benchmark.h>
 
@@ -65,6 +66,31 @@ void BM_FairShareChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareChurn)->Arg(8)->Arg(64)->Arg(256);
 
+SimProcess load_sampler(Simulation& sim, FairShareServer& server,
+                        int samples, Seconds period) {
+  for (int i = 0; i < samples; ++i) {
+    co_await Delay(sim, period);
+    benchmark::DoNotOptimize(server.load_integral());
+  }
+}
+
+// The load monitor's pattern: every sample settles the server and replans
+// its next completion, here four times per arrival.
+void BM_FairShareSampled(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulation sim;
+    FairShareServer server(sim, "srv", 4.0, 1.0);
+    for (int f = 0; f < 64; ++f) {
+      consume_work(sim, server, 0.01 * f, 1.0 + 0.01 * f);
+    }
+    load_sampler(sim, server, 256, 0.0025);
+    sim.run();
+    benchmark::DoNotOptimize(server.work_served());
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_FairShareSampled);
+
 SimProcess ping(Mailbox<int>& in, Mailbox<int>& out, int rounds) {
   for (int i = 0; i < rounds; ++i) {
     out.send(i);
@@ -90,5 +116,33 @@ void BM_MailboxPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 400);
 }
 BENCHMARK(BM_MailboxPingPong);
+
+SimProcess timed_receiver(Mailbox<int>& in, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    benchmark::DoNotOptimize(co_await in.recv_for(10.0));
+  }
+}
+
+SimProcess delayed_sender(Simulation& sim, Mailbox<int>& out, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await Delay(sim, 0.001);
+    out.send(i);
+  }
+}
+
+// A reply-timeout receive that the reply wins, as in the cluster's leg
+// supervision loops: every round arms a timeout the send then settles.
+void BM_MailboxTimedRecv(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulation sim;
+    Mailbox<int> box(sim);
+    timed_receiver(box, 200);
+    delayed_sender(sim, box, 200);
+    sim.run();
+    benchmark::DoNotOptimize(sim.executed_events());
+  }
+  state.SetItemsProcessed(state.iterations() * 200);
+}
+BENCHMARK(BM_MailboxTimedRecv);
 
 }  // namespace

@@ -290,6 +290,7 @@ System::System(simnet::Simulation& sim, const SystemConfig& config)
   if (config.tail.enabled()) {
     leg_latency_ =
         sched::LegLatencyTracker(config.nodes, config.tail.ewma_alpha);
+    leg_walls_.fill(RunningQuantile(config.tail.hedge_quantile));
   }
   if (config.gray.enabled()) {
     gray_extra_latency_.assign(config.nodes, 0.0);
@@ -742,6 +743,7 @@ void System::apply_crash(NodeId node) {
   }
   node_crashed_[node] = 1;
   ++crash_epoch_[node];
+  ++crash_count_;
   crash_time_[node] = sim_.now();
   node_broadcasting_[node] = 0;  // a dead node broadcasts nothing
   nodes_[node]->crash();
@@ -862,26 +864,19 @@ void System::observe_leg(sched::LegStage stage, NodeId node, Seconds wall,
   // over-hedge. Normalizing by units keeps legs of different sizes
   // comparable — the trigger scales back up by each leg's own unit count.
   if (!backup && units > 0.0) {
-    leg_walls_[static_cast<std::size_t>(stage)].push_back(wall / units);
+    leg_walls_[static_cast<std::size_t>(stage)].add(wall / units);
   }
   leg_latency_.observe(node, stage, wall, units);
 }
 
 std::optional<Seconds> System::hedge_delay(sched::LegStage stage) const {
-  const std::vector<double>& walls =
-      leg_walls_[static_cast<std::size_t>(stage)];
-  if (walls.size() < config_.tail.hedge_min_samples) return std::nullopt;
+  const RunningQuantile& walls = leg_walls_[static_cast<std::size_t>(stage)];
+  if (walls.count() < config_.tail.hedge_min_samples) return std::nullopt;
   // Quantile over the completed-leg per-unit walls observed so far (the
-  // live analogue of the "issue the backup after the p95" rule).
-  // nth_element on a scratch copy: O(n) per dispatch round, and the
-  // observation order is deterministic so the trigger is too. Callers
-  // scale by the waiting leg's unit count and apply hedge_min_delay.
-  std::vector<double> scratch = walls;
-  const double q = std::clamp(config_.tail.hedge_quantile, 0.0, 1.0);
-  const auto nth = static_cast<std::ptrdiff_t>(
-      q * static_cast<double>(scratch.size() - 1));
-  std::nth_element(scratch.begin(), scratch.begin() + nth, scratch.end());
-  return scratch[static_cast<std::size_t>(nth)];
+  // live analogue of the "issue the backup after the p95" rule), kept
+  // up to date by observe_leg; nullopt while there is none. Callers scale
+  // by the waiting leg's unit count and apply hedge_min_delay.
+  return walls.value();
 }
 
 std::span<const char> System::straggler_mask(sched::LegStage stage) {
@@ -1766,6 +1761,7 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
   if (dead()) co_return;
 
   simnet::Mailbox<std::size_t>& inner = *slot->inner;
+  std::uint64_t swept_crashes = crash_count_;
   const auto spawn = [&](NodeId node, std::deque<std::size_t> block) {
     auto ws = std::make_shared<PrLegSlot>();
     ws->node = node;
@@ -1844,6 +1840,8 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
     }
     // Reply timeout: sweep the subtree for crashed workers and fail their
     // units over to surviving in-group replicas.
+    if (crash_count_ == swept_crashes) continue;  // see question_process
+    swept_crashes = crash_count_;
     std::vector<std::pair<NodeId, std::deque<std::size_t>>> respawn;
     for (const auto& wsp : slot->workers) {
       PrLegSlot& s = *wsp;
@@ -2414,6 +2412,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
         // brokers already re-run straggling workers' units in-subtree.
         simnet::Mailbox<std::size_t> reports(sim_);
         std::vector<std::shared_ptr<BrokerSlot>> slots;
+        std::uint64_t swept_crashes = crash_count_;
         const auto spawn_broker = [&](NodeId node, std::size_t group,
                                       std::vector<std::size_t> units) {
           auto slot = std::make_shared<BrokerSlot>();
@@ -2551,6 +2550,8 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
           // Reply timeout: sweep for crashed brokers. Their worker legs
           // are orphaned — abandon them (zombie contract) and close their
           // spans here, since neither the dead broker nor anyone else will.
+          if (crash_count_ == swept_crashes) continue;  // see the PR loop
+          swept_crashes = crash_count_;
           const bool host_down = host_dead();
           const std::size_t count = slots.size();
           for (std::size_t i = 0; i < count; ++i) {
@@ -2587,6 +2588,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       } else {
         simnet::Mailbox<std::size_t> reports(sim_);
         std::vector<std::shared_ptr<PrLegSlot>> slots;
+        std::uint64_t swept_crashes = crash_count_;
         const auto spawn = [&](NodeId node,
                                std::shared_ptr<std::deque<std::size_t>> units,
                                std::shared_ptr<HedgeGroup> group = nullptr,
@@ -2955,7 +2957,11 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
             }
             continue;
           }
-          // Reply timeout: sweep the unreported legs for dead nodes.
+          // Reply timeout: sweep the unreported legs for dead nodes. A
+          // sweep finds only legs whose node crashed after their spawn, so
+          // with no crash since the last one it would find nothing.
+          if (crash_count_ == swept_crashes) continue;
+          swept_crashes = crash_count_;
           const bool host_down = host_dead();
           std::size_t requeued = 0;
           std::vector<std::pair<NodeId, std::deque<std::size_t>>> respawn;
@@ -3154,6 +3160,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       {
         simnet::Mailbox<std::size_t> reports(sim_);
         std::vector<std::shared_ptr<ApLegSlot>> slots;
+        std::uint64_t swept_crashes = crash_count_;
         const auto spawn =
             [&](NodeId node, std::vector<std::size_t> units,
                 std::shared_ptr<std::deque<parallel::Chunk>> chunks,
@@ -3430,6 +3437,9 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
             }
             continue;
           }
+          // Reply timeout: sweep for dead nodes.
+          if (crash_count_ == swept_crashes) continue;  // see the PR loop
+          swept_crashes = crash_count_;
           const bool host_down = host_dead();
           std::size_t requeued = 0;
           std::vector<std::pair<NodeId, std::vector<std::size_t>>> respawn;

@@ -16,6 +16,7 @@
 #include "cluster/metrics.hpp"
 #include "cluster/names.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "cluster/node.hpp"
 #include "cluster/plan.hpp"
 #include "cluster/trace.hpp"
@@ -673,6 +674,10 @@ class System {
   std::vector<char> node_broadcasting_;  // membership: monitor active?
   std::vector<char> node_crashed_;       // fault state: node currently down?
   std::vector<std::size_t> crash_epoch_;  // bumped per crash (zombie detection)
+  /// Crashes so far (the sum of crash_epoch_): a leg supervision loop
+  /// whose last reply-timeout sweep saw the same count has no crashed leg
+  /// to find.
+  std::uint64_t crash_count_ = 0;
   std::vector<Seconds> crash_time_;       // last crash time per node
   std::unique_ptr<simnet::Link> network_;
   /// Broker-tier wiring (both empty in the flat star): the hierarchy's
@@ -690,7 +695,8 @@ class System {
   sched::LoadTable table_;
   /// Tail-tolerance state (untouched while config().tail is disabled).
   sched::LegLatencyTracker leg_latency_;
-  std::array<std::vector<double>, sched::kLegStages> leg_walls_;
+  /// Per-stage hedge_quantile of the primary per-unit leg walls.
+  std::array<RunningQuantile, sched::kLegStages> leg_walls_;
   std::vector<char> straggler_scratch_;
   /// Gray-fault state (empty when disabled): per-node effective extra
   /// link latency, and which plan events are currently open per node.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -44,6 +45,40 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
+
+RunningQuantile::RunningQuantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {}
+
+void RunningQuantile::add(double x) {
+  const std::greater<> min_heap;
+  if (!low_.empty() && x <= low_.front()) {
+    low_.push_back(x);
+    std::push_heap(low_.begin(), low_.end());
+  } else {
+    high_.push_back(x);
+    std::push_heap(high_.begin(), high_.end(), min_heap);
+  }
+  // The rank arithmetic of nth_element over all samples, so value() is
+  // the very sample it would pick. k <= n, and k grows by at most one.
+  const auto k = static_cast<std::size_t>(
+                     q_ * static_cast<double>(count() - 1)) + 1;
+  while (low_.size() > k) {
+    std::pop_heap(low_.begin(), low_.end());
+    high_.push_back(low_.back());
+    low_.pop_back();
+    std::push_heap(high_.begin(), high_.end(), min_heap);
+  }
+  while (low_.size() < k) {
+    std::pop_heap(high_.begin(), high_.end(), min_heap);
+    low_.push_back(high_.back());
+    high_.pop_back();
+    std::push_heap(low_.begin(), low_.end());
+  }
+}
+
+std::optional<double> RunningQuantile::value() const {
+  if (low_.empty()) return std::nullopt;
+  return low_.front();
+}
 
 void Samples::add(double x) {
   values_.push_back(x);

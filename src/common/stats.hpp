@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,28 @@ class Samples {
 
   std::vector<double> values_;
   bool sorted_ = true;
+};
+
+/// Streaming order statistic. After n adds, value() is the sample of
+/// 0-based rank floor(q·(n−1)) — exactly what std::nth_element at that
+/// index returns over all n samples — at O(log n) per add and O(1) per
+/// query. Two heaps split the samples: a max-heap holds the
+/// floor(q·(n−1)) + 1 smallest, a min-heap the rest, and add() moves at
+/// most one sample across to keep that split.
+class RunningQuantile {
+ public:
+  /// `q` is clamped to [0, 1].
+  explicit RunningQuantile(double q = 0.5);
+
+  void add(double x);
+  [[nodiscard]] std::size_t count() const { return low_.size() + high_.size(); }
+  /// nullopt while no sample has been added.
+  [[nodiscard]] std::optional<double> value() const;
+
+ private:
+  double q_;
+  std::vector<double> low_;   // max-heap: the ranks <= floor(q·(n−1))
+  std::vector<double> high_;  // min-heap: the ranks above
 };
 
 /// Fixed-width histogram over [lo, hi); finite out-of-range samples clamp

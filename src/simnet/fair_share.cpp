@@ -27,7 +27,8 @@ FairShareServer::FairShareServer(Simulation& sim, std::string name,
       name_(std::move(name)),
       total_rate_(total_rate),
       max_rate_(max_rate_per_customer),
-      last_update_(sim.now()) {
+      last_update_(sim.now()),
+      completion_(sim, [this] { on_completion(); }) {
   QADIST_CHECK(total_rate_ > 0.0, << name_ << ": total_rate must be positive");
   QADIST_CHECK(max_rate_ > 0.0, << name_ << ": max_rate must be positive");
 }
@@ -51,20 +52,20 @@ void FairShareServer::advance() {
 }
 
 void FairShareServer::reschedule() {
-  ++generation_;
-  if (flows_.empty()) return;
+  if (flows_.empty()) {
+    completion_.cancel();
+    return;
+  }
   const double rate = per_flow_rate();
   QADIST_CHECK(rate > 0.0);
   double min_remaining = std::numeric_limits<double>::infinity();
   for (const auto& flow : flows_)
     min_remaining = std::min(min_remaining, flow.remaining);
   const Seconds eta = std::max(0.0, min_remaining) / rate;
-  const std::uint64_t gen = generation_;
-  sim_.schedule(eta, [this, gen] { on_completion(gen); });
+  completion_.arm(eta);
 }
 
-void FairShareServer::on_completion(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded by a later change
+void FairShareServer::on_completion() {
   advance();
   const double rate = per_flow_rate();
   std::vector<std::coroutine_handle<>> finished;
@@ -101,7 +102,7 @@ void FairShareServer::halt() {
   if (halted_) return;
   advance();
   halted_ = true;
-  ++generation_;  // invalidate any scheduled completion event
+  completion_.cancel();
   std::vector<Flow> orphans = std::move(flows_);
   flows_.clear();
   for (const auto& flow : orphans) {

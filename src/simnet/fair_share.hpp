@@ -30,9 +30,10 @@ namespace qadist::simnet {
 ///
 /// The implementation is event-driven: whenever the customer set changes,
 /// remaining work is advanced at the old rate, the per-customer rate is
-/// recomputed, and the next completion is (re)scheduled. Completion events
-/// are invalidated by a generation counter rather than removed from the
-/// queue. Cost: O(F) per arrival/departure — fine for cluster-scale F.
+/// recomputed, and the server's one completion Timer is re-armed for the
+/// next completion (or cancelled once no customer remains), so at most one
+/// completion event per server is ever pending. Cost: O(F) per
+/// arrival/departure — fine for cluster-scale F.
 ///
 /// Load accounting for the schedulers: the server integrates both the
 /// customer count (`load_integral`, the simulated /proc loadavg) and the
@@ -121,8 +122,8 @@ class FairShareServer {
 
   [[nodiscard]] double per_flow_rate() const;
   void advance();      // settle work/integrals up to sim_.now()
-  void reschedule();   // plan the next completion event
-  void on_completion(std::uint64_t generation);
+  void reschedule();   // re-arm (or cancel) the completion timer
+  void on_completion();
 
   Simulation& sim_;
   std::string name_;
@@ -133,8 +134,8 @@ class FairShareServer {
   double load_integral_ = 0.0;
   double busy_integral_ = 0.0;
   double work_served_ = 0.0;
-  std::uint64_t generation_ = 0;
   bool halted_ = false;
+  Simulation::Timer completion_;
 };
 
 /// Differentiates a server's busy_integral into per-period utilization:

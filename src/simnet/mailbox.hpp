@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -34,7 +33,7 @@ class Mailbox {
     if (!receivers_.empty()) {
       Waiter* r = receivers_.front();
       receivers_.pop_front();
-      if (r->settled != nullptr) *r->settled = true;
+      if (r->timer != nullptr) r->timer->cancel();
       r->slot = std::move(value);
       auto h = r->handle;
       sim_->schedule(0.0, h);
@@ -48,14 +47,14 @@ class Mailbox {
     return !receivers_.empty();
   }
 
-  /// A suspended receiver. `settled` guards the race between delivery and
-  /// a pending timeout event: whichever path fires first sets it, the
-  /// loser becomes a no-op (the shared_ptr outlives the awaiter, so a
-  /// late timeout callback never dereferences a destroyed frame).
+  /// A suspended receiver. A timed receive's awaiter owns the Timer that
+  /// settles the race between delivery and the timeout: a send() that
+  /// wins cancels it, so no timeout event outlives the receive; a timeout
+  /// that wins takes the waiter out of the receiver queue.
   struct Waiter {
     std::optional<T> slot;
     std::coroutine_handle<> handle;
-    std::shared_ptr<bool> settled;  // null for untimed receives
+    Simulation::Timer* timer = nullptr;  // null for untimed receives
   };
 
   struct [[nodiscard]] Awaiter : Waiter {
@@ -84,8 +83,10 @@ class Mailbox {
   struct [[nodiscard]] TimedAwaiter : Waiter {
     Mailbox& box;
     Seconds timeout;
+    Simulation::Timer expiry;
 
-    TimedAwaiter(Mailbox& b, Seconds t) : box(b), timeout(t) {}
+    TimedAwaiter(Mailbox& b, Seconds t)
+        : box(b), timeout(t), expiry(*b.sim_, [this] { expire(); }) {}
 
     bool await_ready() {
       if (!box.queue_.empty()) {
@@ -100,19 +101,20 @@ class Mailbox {
     }
     void await_suspend(std::coroutine_handle<> h) {
       this->handle = h;
-      this->settled = std::make_shared<bool>(false);
+      this->timer = &expiry;
       box.receivers_.push_back(this);
-      Mailbox* b = &box;
-      Waiter* self = this;
-      box.sim_->schedule(timeout, [b, self, settled = this->settled] {
-        if (*settled) return;  // a send() won the race
-        *settled = true;
-        auto& rs = b->receivers_;
-        rs.erase(std::remove(rs.begin(), rs.end(), self), rs.end());
-        self->handle.resume();  // slot stays empty -> nullopt
-      });
+      expiry.arm(timeout);
     }
     std::optional<T> await_resume() { return std::move(this->slot); }
+
+   private:
+    void expire() {
+      Waiter* self = this;
+      auto& rs = box.receivers_;
+      rs.erase(std::remove(rs.begin(), rs.end(), self), rs.end());
+      // Last: resuming may destroy this awaiter and its timer.
+      this->handle.resume();  // slot stays empty -> nullopt
+    }
   };
 
   /// Awaitable: produces the next message (FIFO).

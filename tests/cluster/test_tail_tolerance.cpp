@@ -130,8 +130,9 @@ struct TailRun {
   std::vector<obs::QuestionBreakdown> questions;
 };
 
-TailRun tail_scenario(bool hedge, bool tied, bool latency_aware,
-                      bool sharded = false) {
+TailRun tail_scenario(
+    bool hedge, bool tied, bool latency_aware, bool sharded = false,
+    std::size_t hedge_min_samples = TailConfig{}.hedge_min_samples) {
   simnet::Simulation sim;
   SystemConfig cfg;
   cfg.nodes = 12;
@@ -146,6 +147,7 @@ TailRun tail_scenario(bool hedge, bool tied, bool latency_aware,
   cfg.tail.hedge = hedge;
   cfg.tail.tied = tied;
   cfg.tail.latency_aware = latency_aware;
+  cfg.tail.hedge_min_samples = hedge_min_samples;
   simnet::GrayFaultEvent ev;
   ev.node = 2;
   ev.at = 50.0;
@@ -232,6 +234,22 @@ TEST(TailToleranceTest, HedgingImprovesTailUnderGraySlowNode) {
   EXPECT_LT(full.metrics.latencies.quantile(0.95),
             0.5 * none.metrics.latencies.quantile(0.95));
   EXPECT_EQ(full.metrics.completed, none.metrics.completed);
+}
+
+TEST(TailToleranceTest, ZeroMinSamplesWaitsForTheFirstLegWall) {
+  // hedge_min_samples = 0 asks for a trigger before any leg completed.
+  // With no wall observed there is no quantile to read, so the run must
+  // behave exactly like hedge_min_samples = 1.
+  const TailRun zero = tail_scenario(true, true, true, false, 0);
+  const TailRun one = tail_scenario(true, true, true, false, 1);
+  const Metrics& m = zero.metrics;
+  EXPECT_EQ(m.completed + m.questions_rejected + m.questions_shed,
+            m.submitted);
+  EXPECT_GT(m.hedges_issued, 0u);
+  EXPECT_EQ(m.hedges_issued, one.metrics.hedges_issued);
+  EXPECT_EQ(m.hedge_wins, one.metrics.hedge_wins);
+  EXPECT_EQ(m.makespan, one.metrics.makespan);
+  EXPECT_EQ(zero.spans.size(), one.spans.size());
 }
 
 TEST(GrayFaultTest, DetectorStaysBlindToLosslessGraySlowNode) {

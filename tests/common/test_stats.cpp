@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -55,6 +57,68 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   b.merge(a);  // copy
   EXPECT_EQ(b.count(), 2u);
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
+}
+
+/// The hedge trigger's former implementation: nth_element over a copy of
+/// every sample so far, at rank floor(q·(n−1)).
+double nth_element_quantile(std::vector<double> samples, double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  const auto nth = static_cast<std::ptrdiff_t>(
+      q * static_cast<double>(samples.size() - 1));
+  std::nth_element(samples.begin(), samples.begin() + nth, samples.end());
+  return samples[static_cast<std::size_t>(nth)];
+}
+
+TEST(RunningQuantileTest, EmptyHasNoValue) {
+  RunningQuantile rq(0.95);
+  EXPECT_EQ(rq.count(), 0u);
+  EXPECT_FALSE(rq.value().has_value());
+  rq.add(3.0);
+  EXPECT_EQ(rq.value(), 3.0);
+}
+
+TEST(RunningQuantileTest, MatchesNthElementAfterEveryAdd) {
+  // Seeded streams with many ties (values drawn from a small grid) and
+  // without; every prefix must yield the very double nth_element picks.
+  for (const double q : {0.0, 0.5, 0.95, 1.0, 0.3333, -0.5, 1.5}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const bool ties : {true, false}) {
+        Rng rng(seed);
+        RunningQuantile rq(q);
+        std::vector<double> seen;
+        for (int i = 0; i < 600; ++i) {
+          const double x =
+              ties ? static_cast<double>(rng.uniform_u64(0, 9)) * 0.25
+                   : rng.uniform(0.0, 100.0);
+          rq.add(x);
+          seen.push_back(x);
+          ASSERT_EQ(rq.count(), seen.size());
+          ASSERT_EQ(rq.value(), nth_element_quantile(seen, q))
+              << "q=" << q << " seed=" << seed << " ties=" << ties
+              << " n=" << seen.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(RunningQuantileTest, MonotoneStreams) {
+  // Sorted and reverse-sorted input stress the rebalancing in both
+  // directions.
+  for (const double q : {0.0, 0.5, 0.95, 1.0}) {
+    RunningQuantile up(q);
+    RunningQuantile down(q);
+    std::vector<double> seen_up;
+    std::vector<double> seen_down;
+    for (int i = 0; i < 200; ++i) {
+      up.add(i);
+      down.add(-i);
+      seen_up.push_back(i);
+      seen_down.push_back(-i);
+      ASSERT_EQ(up.value(), nth_element_quantile(seen_up, q));
+      ASSERT_EQ(down.value(), nth_element_quantile(seen_down, q));
+    }
+  }
 }
 
 TEST(SamplesTest, QuantilesOfKnownSet) {

@@ -127,6 +127,43 @@ TEST(FairShareTest, ManyFlowsAllComplete) {
   EXPECT_EQ(disk.active(), 0);
 }
 
+TEST(FairShareTest, RepeatedSamplingKeepsOneCompletionPending) {
+  // Every load sample replans the next completion; the replan re-arms the
+  // server's one completion timer instead of queueing another event.
+  Simulation sim;
+  FairShareServer cpu(sim, "cpu", 2.0, 1.0);
+  std::vector<double> t(3, -1);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    consume_at(sim, cpu, 0.0, 5.0, t, i);
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  for (int i = 1; i <= 40; ++i) {
+    sim.run_until(0.1 * i);
+    (void)cpu.load_integral();
+    (void)cpu.busy_integral();
+    EXPECT_EQ(sim.pending_events(), 1u) << "after sample " << i;
+  }
+  sim.run();
+  for (const double finish : t) EXPECT_NEAR(finish, 7.5, 1e-9);
+  EXPECT_TRUE(sim.empty());
+  // One completion plus three resumes; no superseded completion ran.
+  EXPECT_EQ(sim.executed_events(), 4u);
+}
+
+TEST(FairShareTest, HaltLeavesNoCompletionPending) {
+  Simulation sim;
+  FairShareServer cpu(sim, "cpu", 1.0, 1.0);
+  std::vector<double> t(2, -1);
+  consume_at(sim, cpu, 0.0, 4.0, t, 0);
+  consume_at(sim, cpu, 0.0, 4.0, t, 1);
+  sim.run_until(1.0);
+  cpu.halt();
+  EXPECT_EQ(sim.pending_events(), 2u);  // the two orphan resumes only
+  sim.run();
+  EXPECT_EQ(t, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
 TEST(UtilizationProbeTest, SamplesBusyFractionPerWindow) {
   Simulation sim;
   FairShareServer cpu(sim, "cpu", 1.0, 1.0);

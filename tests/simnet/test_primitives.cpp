@@ -163,11 +163,51 @@ TEST(MailboxTest, RecvForDeliveryBeatsTimeout) {
   std::vector<std::pair<double, std::optional<int>>> log;
   timed_consumer(sim, box, 5.0, log);
   sim.schedule(1.0, [&] { box.send(7); });
-  sim.run();  // the stale timeout event at t=5 must be a harmless no-op
+  sim.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0].first, 1.0);
   ASSERT_TRUE(log[0].second.has_value());
   EXPECT_EQ(*log[0].second, 7);
+}
+
+TEST(MailboxTest, RecvForWonBySendLeavesNoPendingEvent) {
+  // The send cancels the receive's timeout: the queue drains at the
+  // delivery instant, with no timeout event left to run at t=5.
+  Simulation sim;
+  Mailbox<int> box(sim);
+  std::vector<std::pair<double, std::optional<int>>> log;
+  timed_consumer(sim, box, 5.0, log);
+  EXPECT_EQ(sim.pending_events(), 1u);  // the armed timeout
+  sim.schedule(1.0, [&] {
+    box.send(7);
+    EXPECT_EQ(sim.pending_events(), 1u);  // just the receiver's resume
+  });
+  sim.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(*log[0].second, 7);
+  EXPECT_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.executed_events(), 2u);  // the send and the resume
+  EXPECT_FALSE(box.has_waiting_receiver());
+}
+
+TEST(MailboxTest, RecvForTimeoutsAndSendsInterleave) {
+  // Several timed receivers on one mailbox: sends wake them in arrival
+  // order and cancel their timeouts; the rest time out on schedule.
+  Simulation sim;
+  Mailbox<int> box(sim);
+  std::vector<std::pair<double, std::optional<int>>> log;
+  timed_consumer(sim, box, 4.0, log);
+  timed_consumer(sim, box, 2.0, log);
+  timed_consumer(sim, box, 3.0, log);
+  sim.schedule(1.0, [&] { box.send(1); });    // wakes the first receiver
+  sim.schedule(2.5, [&] { box.send(2); });    // second timed out at 2.0
+  sim.run();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0], (std::pair<double, std::optional<int>>{1.0, 1}));
+  EXPECT_EQ(log[1], (std::pair<double, std::optional<int>>{2.0, std::nullopt}));
+  EXPECT_EQ(log[2], (std::pair<double, std::optional<int>>{2.5, 2}));
+  EXPECT_EQ(sim.now(), 2.5);
+  EXPECT_TRUE(sim.empty());
 }
 
 TEST(MailboxTest, RecvForBufferedMessageIsImmediate) {

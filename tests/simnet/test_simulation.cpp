@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <coroutine>
 #include <functional>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "simnet/process.hpp"
 
 namespace qadist::simnet {
@@ -215,6 +217,196 @@ TEST(SimulationTest, ScheduleAtAbsoluteTime) {
   sim.schedule_at(7.5, [&] { t = sim.now(); });
   sim.run();
   EXPECT_EQ(t, 7.5);
+}
+
+TEST(TimerTest, FiresInSchedulingOrderWithResumesAndCallbacks) {
+  // Timers share the kernel's sequence numbers: at equal timestamps a
+  // timer, a coroutine resume and a callback fire in the order they were
+  // scheduled, and a re-armed timer orders as if newly scheduled.
+  Simulation sim;
+  std::vector<std::string> order;
+  Simulation::Timer early(sim, [&] { order.push_back("t-early"); });
+  Simulation::Timer moved(sim, [&] { order.push_back("t-moved"); });
+  early.arm(1.0);
+  moved.arm(1.0);
+  resume_logger(sim, 1.0, "co0", order);
+  sim.schedule(1.0, [&] { order.push_back("cb0"); });
+  Simulation::Timer late(sim, [&] { order.push_back("t-late"); });
+  late.arm(1.0);
+  moved.arm(1.0);  // re-armed: now behind every event scheduled so far
+  sim.schedule(1.0, [&] { order.push_back("cb1"); });
+  EXPECT_EQ(sim.pending_events(), 6u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"t-early", "co0", "cb0",
+                                             "t-late", "t-moved", "cb1"}));
+  EXPECT_EQ(sim.executed_events(), 6u);
+}
+
+TEST(TimerTest, RearmingMovesTheFiringEitherWay) {
+  Simulation sim;
+  std::vector<double> fired;
+  Simulation::Timer a(sim, [&] { fired.push_back(sim.now()); });
+  Simulation::Timer b(sim, [&] { fired.push_back(-sim.now()); });
+  a.arm(5.0);
+  b.arm(3.0);
+  a.arm(1.0);  // earlier than before
+  b.arm(4.0);  // later than before
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<double>{1.0, -4.0}));
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+TEST(TimerTest, CancelWithdrawsTheFiringWithoutASequenceNumber) {
+  Simulation sim;
+  std::vector<std::string> order;
+  Simulation::Timer timer(sim, [&] { order.push_back("timer"); });
+  timer.arm(1.0);
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_TRUE(sim.empty());
+  timer.cancel();  // idempotent
+  sim.schedule(1.0, [&] { order.push_back("cb"); });
+  timer.arm(1.0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"cb", "timer"}));
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+TEST(TimerTest, RearmsFromInsideItsOwnCallback) {
+  Simulation sim;
+  std::vector<double> ticks;
+  std::function<void()> tick;
+  Simulation::Timer timer(sim, [&] { tick(); });
+  tick = [&] {
+    ticks.push_back(sim.now());
+    EXPECT_FALSE(timer.armed());  // disarmed before its callback runs
+    if (ticks.size() < 4) timer.arm(0.5);
+  };
+  timer.arm(1.0);
+  sim.run();
+  EXPECT_EQ(ticks, (std::vector<double>{1.0, 1.5, 2.0, 2.5}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.executed_events(), 4u);
+}
+
+TEST(TimerTest, DestroyingAnArmedTimerCancelsIt) {
+  Simulation sim;
+  int fired = 0;
+  auto timer = std::make_unique<Simulation::Timer>(sim, [&] { ++fired; });
+  Simulation::Timer other(sim, [&] { fired += 10; });
+  timer->arm(2.0);
+  other.arm(1.0);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  timer.reset();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
+TEST(TimerTest, SimulationDestroyedBeforeItsArmedTimers) {
+  // The kernel detaches armed timers when it dies first, so destroying
+  // them afterwards touches no freed memory (run under ASan in CI).
+  auto sim = std::make_unique<Simulation>();
+  Simulation::Timer armed(*sim, [] {});
+  Simulation::Timer idle(*sim, [] {});
+  armed.arm(1.0);
+  sim.reset();
+  EXPECT_FALSE(armed.armed());
+  EXPECT_FALSE(idle.armed());
+}
+
+TEST(TimerTest, CallbackMayDestroyItsTimer) {
+  Simulation sim;
+  int fired = 0;
+  std::unique_ptr<Simulation::Timer> timer;
+  timer = std::make_unique<Simulation::Timer>(sim, [&] {
+    ++fired;
+    timer.reset();
+  });
+  timer->arm(1.0);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(timer, nullptr);
+}
+
+TEST(TimerTest, RunUntilStopsAtATimer) {
+  Simulation sim;
+  std::vector<double> fired;
+  Simulation::Timer timer(sim, [&] { fired.push_back(sim.now()); });
+  sim.schedule(5.0, [&] { fired.push_back(sim.now()); });
+  timer.arm(2.0);
+  sim.run_until(2.0);  // inclusive: the timer at the deadline fires
+  EXPECT_EQ(fired, (std::vector<double>{2.0}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  timer.arm(1.0);
+  sim.run_until(2.5);
+  EXPECT_EQ(sim.now(), 2.5);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<double>{2.0, 3.0, 5.0}));
+  EXPECT_EQ(sim.executed_events(), 3u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(TimerTest, ArmClampsNegativeDelaysAndPanicsOnNan) {
+  Simulation sim;
+  double fired_at = -1.0;
+  Simulation::Timer timer(sim, [&] { fired_at = sim.now(); });
+  sim.schedule(3.0, [&] { timer.arm(-1.0); });
+  sim.run();
+  EXPECT_EQ(fired_at, 3.0);
+  EXPECT_DEATH(timer.arm(std::nan("")), "NaN delay");
+}
+
+TEST(TimerTest, ManyTimersFireInTimeOrder) {
+  // Exercises the indexed heap: arm, re-arm and cancel a few hundred
+  // timers in a seeded pattern, then check the firing order against a
+  // sort of the surviving (when, arm order) keys.
+  Simulation sim;
+  constexpr std::size_t kTimers = 300;
+  std::vector<std::size_t> fired;
+  std::vector<std::unique_ptr<Simulation::Timer>> timers;
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Simulation::Timer>(
+        sim, [&fired, i] { fired.push_back(i); }));
+  }
+  struct Key {
+    double when;
+    std::size_t order;
+    std::size_t id;
+  };
+  std::vector<Key> keys(kTimers, Key{-1.0, 0, 0});
+  std::size_t armed = 0;
+  Rng rng(12345);
+  for (std::size_t round = 0; round < 3 * kTimers; ++round) {
+    const std::size_t i = rng.below(kTimers);
+    if (rng.uniform01() < 0.2) {
+      timers[i]->cancel();
+      keys[i].when = -1.0;
+    } else {
+      const auto when = static_cast<double>(rng.below(50));
+      timers[i]->arm(when);
+      keys[i] = Key{when, armed++, i};
+    }
+  }
+  std::vector<Key> live;
+  for (const Key& k : keys) {
+    if (k.when >= 0.0) live.push_back(k);
+  }
+  std::sort(live.begin(), live.end(), [](const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.order < b.order;
+  });
+  EXPECT_EQ(sim.pending_events(), live.size());
+  sim.run();
+  std::vector<std::size_t> expected;
+  for (const Key& k : live) expected.push_back(k.id);
+  EXPECT_EQ(fired, expected);
 }
 
 }  // namespace
