@@ -89,6 +89,17 @@ class Node {
     return gray_cpu_factor_ != 1.0 || gray_disk_factor_ != 1.0;
   }
 
+  /// CPU demand of `seconds` of nominal work on this node right now:
+  /// stretched by memory pressure, then by gray degradation.
+  [[nodiscard]] double cpu_work(double seconds) const {
+    return seconds * work_multiplier() * gray_cpu_factor();
+  }
+  /// Awaitable: runs `seconds` of nominal work on this node's CPU.
+  [[nodiscard]] simnet::FairShareServer::ConsumeAwaiter compute(
+      double seconds) {
+    return cpu().consume(cpu_work(seconds));
+  }
+
   /// Time-averaged resource loads since the previous call — the load
   /// monitor's per-period measurement (average active customers per
   /// resource over the period).

@@ -44,35 +44,6 @@ std::size_t paragraph_footprint(const std::string& key,
   return bytes;
 }
 
-/// FairShareServer::consume with a parking spot: while the coroutine is in
-/// service, the (server, handle) pair sits in the leg slot's busy cell so a
-/// tied-hedge coordinator can cancel the reservation mid-flight (see
-/// FairShareServer::cancel). Suspension-wise identical to ConsumeAwaiter —
-/// same await_ready condition, same enqueue — so routing a consume through
-/// this awaiter never changes the event sequence.
-class [[nodiscard]] CancellableConsume {
- public:
-  CancellableConsume(simnet::FairShareServer& server, double work,
-                     simnet::FairShareServer*& server_cell,
-                     std::coroutine_handle<>& handle_cell)
-      : server_(server),
-        work_(work),
-        server_cell_(server_cell),
-        handle_cell_(handle_cell) {}
-  bool await_ready() const noexcept { return work_ <= 0.0; }
-  void await_suspend(std::coroutine_handle<> h) {
-    server_cell_ = &server_;
-    handle_cell_ = h;
-    server_.enqueue(work_, h);
-  }
-  void await_resume() noexcept { server_cell_ = nullptr; }
-
- private:
-  simnet::FairShareServer& server_;
-  double work_;
-  simnet::FairShareServer*& server_cell_;
-  std::coroutine_handle<>& handle_cell_;
-};
 }  // namespace
 
 /// Per-question bookkeeping shared between the main task coroutine and its
@@ -106,108 +77,166 @@ struct System::QuestionState {
   bool degraded = false;
 };
 
-/// Coordinator/leg shared state for one PR leg. Held by shared_ptr from
-/// both sides: the leg outlives the coordinator frame when its node
-/// crashes (the coordinator recovers and moves on while the zombie
-/// coroutine drains its pending resumptions), so everything the zombie may
-/// still touch lives here or in the System.
-struct System::PrLegSlot {
+/// Coordinator/leg shared state every fork-join leg carries, whichever
+/// stage spawned it (PR worker, AP worker, broker). Held by shared_ptr from
+/// both sides: the leg outlives the coordinator frame when its node crashes
+/// (the coordinator recovers and moves on while the zombie coroutine drains
+/// its pending resumptions), so everything the zombie may still touch lives
+/// here or in the System.
+struct System::LegSlot {
   NodeId node = 0;
   std::size_t epoch = 0;  // crash_epoch_[node] at spawn
-  /// Pending sub-collections: the stage-shared deque under RECV (legs
-  /// compete), a private deque under SEND (the shipped block).
-  std::shared_ptr<std::deque<std::size_t>> units;
-  std::size_t in_flight = kNoUnit;  // popped, results not yet on the host
   bool reported = false;
   bool declared_dead = false;
   /// The leg gave up on a send (retry budget spent): its node is alive but
-  /// unreachable. Set together with `reported`; pending units stay in the
-  /// slot for the coordinator to re-partition or drop.
+  /// unreachable. Set together with `reported`; the pending work stays in
+  /// the slot for the coordinator to recover or drop.
   bool unreachable = false;
   /// Stage span the leg nests under, and the leg's own span. The leg opens
-  /// leg_span eagerly and closes it on normal completion; a crashed leg is
-  /// a zombie that must not report, so the *coordinator* closes its span
+  /// leg_span eagerly and closes it when it reports; a crashed leg is a
+  /// zombie that must not report, so the *coordinator* closes its span
   /// (crashed=1) when the liveness sweep declares the leg dead.
   obs::SpanId stage_span = obs::kNoSpan;
   obs::SpanId leg_span = obs::kNoSpan;
-
-  // --- Tail-tolerance fields (all inert under the default cfg.tail) ---
   Seconds spawned = 0.0;  ///< spawn instant: hedge-trigger + leg-wall basis
   std::size_t done = 0;   ///< units completed so far (latency observation)
+
+  // --- Tail-tolerance fields (all inert under the default cfg.tail) ---
   bool hedge_backup = false;  ///< this leg is a hedge backup, work is a copy
   bool hedged = false;  ///< a backup was already issued (or declined) for it
-  /// Lost the hedge race. Checked next to the crash epoch after every
-  /// co_await: an abandoned leg is a zombie by the same contract — its span
-  /// was already closed by the coordinator, its work is covered by the
-  /// winner, and it must exit without touching q or reports.
+  /// Lost the hedge race, or orphaned by its crashed broker. Checked next
+  /// to the crash epoch after every co_await: an abandoned leg is a zombie
+  /// by the same contract — its span was already closed by the coordinator,
+  /// its work is covered elsewhere, and it must exit without touching q or
+  /// reports.
   bool abandoned = false;
   std::shared_ptr<HedgeGroup> group;  ///< the race this leg belongs to
-  /// Reservation currently held (tied mode routes consumes through
-  /// CancellableConsume), so abandonment can release it mid-service.
+  /// Reservation currently held (leg consumes go through consume()), so a
+  /// tied abandonment can release it mid-service.
   simnet::FairShareServer* busy_server = nullptr;
   std::coroutine_handle<> busy_handle{};
-
   /// Keeps the report mailbox alive for broker-spawned legs: the inner
   /// mailbox lives in the BrokerSlot, whose coordinator can vanish (broker
   /// crash) while an abandoned worker still runs — the worker's own slot
   /// then holds the last reference, so its final reports.send never
   /// dangles. Null for host-spawned legs (the host drains before exit).
   std::shared_ptr<void> keepalive;
+
+  /// FairShareServer::consume with a parking spot: while the leg is in
+  /// service, the (server, handle) pair sits in busy_server/busy_handle so
+  /// a tied-hedge coordinator can cancel the reservation mid-flight (see
+  /// FairShareServer::cancel). Suspension-wise identical to ConsumeAwaiter
+  /// — same await_ready condition, same enqueue — so routing a consume
+  /// through it never changes the event sequence.
+  struct [[nodiscard]] Consume {
+    LegSlot& slot;
+    simnet::FairShareServer& server;
+    double work;
+    bool await_ready() const noexcept { return work <= 0.0; }
+    void await_suspend(std::coroutine_handle<> h) {
+      slot.busy_server = &server;
+      slot.busy_handle = h;
+      server.enqueue(work, h);
+    }
+    void await_resume() noexcept { slot.busy_server = nullptr; }
+  };
+  Consume consume(simnet::FairShareServer& server, double work) {
+    return {*this, server, work};
+  }
+
+  /// A zombie: its node crashed since the spawn, or it was abandoned.
+  [[nodiscard]] bool gone(const std::vector<std::size_t>& crash_epochs) const {
+    return crash_epochs[node] != epoch || abandoned;
+  }
+
+  /// Still owed a report: not reported, declared dead or abandoned.
+  [[nodiscard]] bool live() const {
+    return !reported && !declared_dead && !abandoned;
+  }
+
+  /// Opens the leg span: its node and partition strategy, plus a hedge
+  /// mark on backups so critical-path attribution can tell a hedge win
+  /// from a wasted backup (only stamped when hedging is on — default
+  /// traces stay byte-identical).
+  void open_span(obs::Tracer& tracer, Seconds now, const char* name,
+                 Strategy strategy, std::uint64_t track) {
+    obs::Attrs attrs{{"node", static_cast<std::int64_t>(node)},
+                     {"strategy", std::string(parallel::to_string(strategy))}};
+    if (hedge_backup) attrs.emplace_back("hedge", std::int64_t{1});
+    leg_span = tracer.begin_span(now, name, node, track, stage_span,
+                                 std::move(attrs));
+  }
+
+  /// Closes the leg span, if still open, with `attrs`.
+  void close_span(obs::Tracer* tracer, Seconds now, obs::Attrs attrs) {
+    if (tracer == nullptr || leg_span == obs::kNoSpan) return;
+    tracer->end_span(leg_span, now, std::move(attrs));
+    leg_span = obs::kNoSpan;
+  }
+
+  /// The leg's last act: closes its span with `counts` plus the
+  /// wire/backoff split of its ships, and reports `index` to the
+  /// coordinator. (The attrs are built only when tracing.)
+  using Counts = std::initializer_list<std::pair<const char*, std::int64_t>>;
+  void report(obs::Tracer* tracer, Seconds now, Counts counts,
+              const ShipCost& cost, simnet::Mailbox<std::size_t>& reports,
+              std::size_t index) {
+    if (tracer != nullptr && leg_span != obs::kNoSpan) {
+      obs::Attrs attrs(counts.begin(), counts.end());
+      attrs.emplace_back("net_seconds", cost.transfer);
+      attrs.emplace_back("backoff_seconds", cost.backoff);
+      close_span(tracer, now, std::move(attrs));
+    }
+    reported = true;
+    reports.send(index);
+  }
+
+  /// Unreachable protocol: a ship() that exhausts its retries means the
+  /// peer is cut off, not crashed. The leg reports with its pending work
+  /// still parked in the slot — the coordinator decides whether to recover
+  /// it over reachable survivors or, past the deadline budget, drop it and
+  /// flag the answer degraded.
+  void report_unreachable(obs::Tracer* tracer, Seconds now,
+                          const ShipCost& cost,
+                          simnet::Mailbox<std::size_t>& reports,
+                          std::size_t index) {
+    unreachable = true;
+    report(tracer, now, {{"unreachable", 1}}, cost, reports, index);
+  }
 };
 
-/// Coordinator/leg shared state for one AP leg. Exactly one of `chunks`
-/// (RECV self-scheduling) or `units` (SEND/ISEND fixed partition) is
-/// active. RECV loses at most the in-flight chunk on a crash (answers ship
-/// per chunk); SEND/ISEND lose the whole partition (answers ship once at
-/// the end).
-struct System::ApLegSlot {
-  NodeId node = 0;
-  std::size_t epoch = 0;
-  std::vector<std::size_t> units;
+/// PR or AP worker leg. Work comes one chunk at a time from `chunks` —
+/// the stage-shared queue under RECV (legs compete) or a private queue of
+/// one-unit PR chunks — or, for AP, as one fixed batch in `units` (a
+/// SEND/ISEND partition, a hedge snapshot or recovered paragraphs). RECV
+/// loses at most the in-flight chunk on a crash (AP answers ship per
+/// chunk, PR paragraphs per unit); a batch is lost whole (its answers ship
+/// once at the end).
+struct System::WorkerSlot : LegSlot {
   std::shared_ptr<std::deque<parallel::Chunk>> chunks;
-  parallel::Chunk in_flight{};
+  std::vector<std::size_t> units;
+  parallel::Chunk in_flight{};  // popped, results not yet on the host
   bool has_in_flight = false;
-  bool reported = false;
-  bool declared_dead = false;
-  bool unreachable = false;  // see PrLegSlot
-  obs::SpanId stage_span = obs::kNoSpan;  // see PrLegSlot
-  obs::SpanId leg_span = obs::kNoSpan;
-
-  // --- Tail-tolerance fields — see PrLegSlot ---
-  Seconds spawned = 0.0;
-  std::size_t done = 0;  ///< paragraphs processed so far
-  bool hedge_backup = false;
-  bool hedged = false;
-  bool abandoned = false;
-  std::shared_ptr<HedgeGroup> group;
-  simnet::FairShareServer* busy_server = nullptr;
-  std::coroutine_handle<> busy_handle{};
 };
 
 /// One hedge race: the primary leg plus the backup leg(s) issued against it
 /// after the hedge delay elapsed. First member to report wins; the
 /// coordinator closes the losers' spans (hedge_loser=1), releases their
-/// reservations in tied mode, and stops waiting on them. `covered` /
-/// `covered_chunk` record the work snapshot the backups re-run: anything a
-/// shared-queue primary picked up *after* the snapshot is not covered and
-/// is requeued when the primary is abandoned.
+/// reservations in tied mode, and stops waiting on them. `covered` records
+/// the work snapshot the backups re-run (PR units, or the paragraphs of an
+/// AP chunk): anything a shared-queue primary picked up *after* the
+/// snapshot is not covered and is requeued when the primary is abandoned.
 struct System::HedgeGroup {
   std::vector<std::size_t> members;  ///< slot indices (primary first)
-  std::vector<std::size_t> covered;  ///< PR units the backups re-run
-  parallel::Chunk covered_chunk{};   ///< AP RECV chunk the backups re-run
-  bool has_covered_chunk = false;
+  std::vector<std::size_t> covered;  ///< items the backups re-run
   bool resolved = false;             ///< a winner was recorded
 };
 
-/// Coordinator/broker shared state for one broker-tier PR leg. The host
-/// fans the question's selected units out per broker group; the group's
-/// broker routes them to in-group shard holders, supervises those inner
-/// legs on its own mailbox, merges their partials, and ships one aggregate
-/// back. Shared ownership mirrors PrLegSlot: a zombie broker coroutine may
-/// only touch this slot and System members.
-struct System::BrokerSlot {
-  NodeId node = 0;        ///< node carrying the group's brokering duty
-  std::size_t epoch = 0;  ///< crash_epoch_[node] at spawn
+/// Broker-tier PR leg. The host fans the question's selected units out per
+/// broker group; the group's broker routes them to in-group shard holders,
+/// supervises those inner legs on its own mailbox, merges their partials,
+/// and ships one aggregate back.
+struct System::BrokerSlot : LegSlot {
   std::size_t group = 0;  ///< topology group this leg covers
   /// The group's selected PR units. Kept whole (not drained): a broker
   /// loss loses the partials merged on it, so the host re-routes the full
@@ -215,19 +244,11 @@ struct System::BrokerSlot {
   std::vector<std::size_t> units;
   double bytes_out = 0.0;    ///< merged candidate bytes to ship to the host
   std::size_t unserved = 0;  ///< units dropped in-subtree (degraded)
-  std::size_t done = 0;      ///< units completed in the subtree
-  bool reported = false;
-  bool declared_dead = false;
-  bool unreachable = false;  // see PrLegSlot
-  bool abandoned = false;
-  obs::SpanId stage_span = obs::kNoSpan;
-  obs::SpanId leg_span = obs::kNoSpan;  // closed by the host on broker loss
-  Seconds spawned = 0.0;
   /// Inner report mailbox + the worker slots it serves. Owned here (not in
   /// the coroutine frame) so workers can outlive a crashed broker — each
   /// worker slot holds a keepalive reference to the mailbox.
   std::shared_ptr<simnet::Mailbox<std::size_t>> inner;
-  std::vector<std::shared_ptr<PrLegSlot>> workers;
+  std::vector<std::shared_ptr<LegSlot>> workers;
 };
 
 /// Per-node cache shards. One pair per node, like the CPUs and disks: a
@@ -1031,7 +1052,7 @@ System::ShardAssignment System::assign_pr_units(
     ++assigned[*best];
     if (leg_of[*best] == kNoUnit) {
       leg_of[*best] = out.legs.size();
-      out.legs.emplace_back(*best, std::deque<std::size_t>{});
+      out.legs.emplace_back(*best, std::vector<std::size_t>{});
     }
     out.legs[leg_of[*best]].second.push_back(u);
   }
@@ -1095,23 +1116,7 @@ System::SelectionResult System::select_pr_units(const QuestionPlan& plan) {
 }
 
 NodeId System::pick_live(const sched::LoadWeights& weights) const {
-  // Two passes over the pool: trusted members first, then any non-crashed
-  // member (with the detector driving placement, every member may be a
-  // suspect — a suspect still beats an arbitrary fallback node).
-  for (const bool allow_suspect : {false, true}) {
-    std::optional<NodeId> best;
-    double best_load = 0.0;
-    for (NodeId m : table_.members()) {
-      if (node_crashed_[m] != 0) continue;  // dead but not yet expired
-      if (!allow_suspect && !schedulable(m)) continue;
-      const double load = sched::load_function(table_.load_of(m), weights);
-      if (!best.has_value() || load < best_load) {
-        best = m;
-        best_load = load;
-      }
-    }
-    if (best.has_value()) return *best;
-  }
+  if (const auto best = least_loaded(weights)) return *best;
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     if (node_crashed_[n] == 0) return n;
   }
@@ -1504,8 +1509,927 @@ simnet::SimProcess System::revalidate_process(NodeId node, std::size_t epoch) {
                 {"shards", static_cast<std::int64_t>(promoted)}});
 }
 
+// ---------------------------------------------------------------------------
+// Fork-join supervision. One coroutine (supervise) runs every stage's
+// coordinator loop; a stage is a FanOut subclass that places its legs and
+// supplies, through the hooks below, only what differs between PR, AP and
+// the two broker-tier levels. See DESIGN.md, "One fork-join supervisor".
+
+/// A supervised fork-join stage: its legs, the supervisor's bookkeeping,
+/// and the stage hooks. The supervisor owns spawning and the outstanding
+/// count; stages create legs (make_leg/make_queue_leg) and hand them to
+/// spawn().
+struct System::FanOut {
+  /// `legs` is where the stage's slots live — the BrokerSlot's worker list
+  /// for a broker's in-group stage (so the host can orphan them when the
+  /// broker dies), the stage's own list otherwise. The coordinator is the
+  /// node supervision events are recorded on; it is lost once its crash
+  /// epoch moves past `coordinator_epoch`.
+  FanOut(System& system, QuestionState& question,
+         simnet::Mailbox<std::size_t>& mailbox, NodeId coordinator_node,
+         std::size_t coordinator_epoch_at_start, obs::SpanId span,
+         std::vector<std::shared_ptr<LegSlot>>* legs = nullptr)
+      : sys(system),
+        q(question),
+        reports(mailbox),
+        slots(legs != nullptr ? *legs : own_slots),
+        coordinator(coordinator_node),
+        coordinator_epoch(coordinator_epoch_at_start),
+        stage_span(span),
+        swept_crashes(system.crash_count_) {}
+  FanOut(const FanOut&) = delete;
+  FanOut& operator=(const FanOut&) = delete;
+  virtual ~FanOut() = default;
+
+  System& sys;
+  QuestionState& q;
+  simnet::Mailbox<std::size_t>& reports;
+  std::vector<std::shared_ptr<LegSlot>>& slots;
+  const NodeId coordinator;
+  const std::size_t coordinator_epoch;
+  const obs::SpanId stage_span;  ///< parent span of every leg
+
+  // What the stage is, as the supervisor's shared code needs it.
+  sched::LegStage stage = sched::LegStage::kPr;  ///< hedge-delay pool
+  sched::LoadWeights weights = sched::kPrWeights;  ///< rescue/backup pick
+  std::string_view label;      ///< "PR", "AP", "brokered PR" (trace text)
+  std::string_view leg_noun;   ///< before "N<k>" in trace text ("broker ")
+  std::string_view item_noun;  ///< "collections" or "paragraphs"
+  bool hedge = false;          ///< issue backups past the hedge delay
+  bool shared_queue = false;   ///< primaries compete for one queue (RECV)
+  std::shared_ptr<void> keepalive;            ///< handed to every leg
+  obs::Counter* spawn_tally = nullptr;        ///< extra count per spawn
+  obs::Counter* unreachable_tally = nullptr;  ///< extra count per cut-off
+
+  // Supervisor state.
+  std::size_t outstanding = 0;  ///< spawned legs not yet accounted for
+  std::uint64_t swept_crashes;  ///< crash_count_ at the last sweep
+  /// Set during a crash sweep: recovery legs start once the sweep is over,
+  /// so every loss of one sweep is recorded before any replacement runs.
+  bool defer_spawns = false;
+  std::vector<std::shared_ptr<LegSlot>> deferred;
+
+  [[nodiscard]] bool coordinator_down() const {
+    return sys.crash_epoch_[coordinator] != coordinator_epoch;
+  }
+
+  /// Issues a leg (a hedge backup when `group` is set): stamps the common
+  /// fields, counts it, and starts it unless a sweep defers the start.
+  void spawn(std::shared_ptr<LegSlot> slot,
+             std::shared_ptr<HedgeGroup> group = nullptr) {
+    slot->epoch = sys.crash_epoch_[slot->node];
+    slot->stage_span = stage_span;
+    slot->spawned = sys.sim_.now();
+    slot->keepalive = keepalive;
+    slot->hedge_backup = group != nullptr;
+    (slot->hedge_backup ? sys.ins_.hedges_issued : sys.ins_.legs_spawned)
+        ->inc();
+    if (spawn_tally != nullptr) spawn_tally->inc();
+    if (defer_spawns) {
+      deferred.push_back(std::move(slot));
+      return;
+    }
+    if (group != nullptr) group->members.push_back(slots.size());
+    slot->group = std::move(group);
+    start(std::move(slot));
+  }
+  void spawn_recovery(std::shared_ptr<LegSlot> slot) {
+    sys.ins_.recovery_legs->inc();
+    spawn(std::move(slot));
+  }
+
+  /// Lost work past the deadline, or with nowhere to run: the answer is
+  /// partial by that much...
+  void drop_degraded(std::size_t count) {
+    q.degraded = true;
+    sys.ins_.degraded_units_dropped->inc(static_cast<double>(count));
+  }
+  /// ...and, for shard work, counted as work no live replica could serve.
+  void drop_unserved(std::size_t count) {
+    drop_degraded(count);
+    sys.ins_.shard_units_unserved->inc(static_cast<double>(count));
+  }
+  [[nodiscard]] std::string node_name(const LegSlot& leg) const {
+    return std::string(leg_noun) + "N" + std::to_string(leg.node + 1);
+  }
+
+  // --- Hooks ---------------------------------------------------------------
+  /// Starts the stage's leg coroutine on `slot`, reporting `index`.
+  virtual void launch(std::shared_ptr<LegSlot> slot, std::size_t index) = 0;
+  /// A leg on `node` with private work `items`.
+  virtual std::shared_ptr<LegSlot> make_leg(
+      NodeId node, std::vector<std::size_t> items) = 0;
+  /// A leg on `node` draining the shared queue (shared-queue stages only).
+  virtual std::shared_ptr<LegSlot> make_queue_leg(NodeId /*node*/) {
+    QADIST_UNREACHABLE("stage has no shared queue");
+  }
+  /// Puts `items` back at the front of the shared queue.
+  virtual void requeue(const std::vector<std::size_t>& /*items*/) {
+    QADIST_UNREACHABLE("stage has no shared queue");
+  }
+  /// The coordinator itself must exit now, touching nothing but its slot
+  /// (a crashed or abandoned broker).
+  [[nodiscard]] virtual bool zombie() const { return false; }
+  /// The unfinished work of a primary leg — its in-flight items, then its
+  /// private queue — emptied from the slot when `take` is set.
+  virtual std::vector<std::size_t> pending(LegSlot& leg, bool take) = 0;
+  /// Deadline degradation of lost work.
+  virtual void drop(std::span<const std::size_t> lost) {
+    drop_degraded(lost.size());
+  }
+  /// Recovers a failed leg's lost work (requeue, re-partition, replica
+  /// failover or broker re-route); true when it went back on the shared
+  /// queue, which may then need a rescue leg.
+  virtual bool recover(LegSlot& leg, std::vector<std::size_t> lost,
+                       bool crashed) = 0;
+  /// A leg reported normally (after hedge settlement): the stage's own
+  /// bookkeeping, then the node charged a partial-merge CPU pass, if any.
+  virtual Node* on_report(LegSlot& /*leg*/) { return nullptr; }
+  /// A crashed leg was just declared dead.
+  virtual void on_lost(LegSlot& /*leg*/) {}
+  /// Work units a live primary carries, scaling its hedge due time;
+  /// nullopt while it may not be hedged (only asked when `hedge` is set).
+  [[nodiscard]] virtual std::optional<double> hedge_units(
+      const LegSlot& /*leg*/) const {
+    return std::nullopt;
+  }
+  /// Where the backups re-running `covered` for `leg` go; empty declines.
+  virtual std::vector<std::pair<NodeId, std::vector<std::size_t>>>
+  backup_placement(const LegSlot& leg, std::vector<std::size_t> covered) {
+    const auto node =
+        sys.least_loaded(weights, leg.node, sys.straggler_mask(stage));
+    if (!node.has_value()) return {};
+    return {{*node, std::move(covered)}};
+  }
+
+  // --- Supervision steps (System::supervise drives them) -------------------
+  /// When `leg` is due a hedge backup: the per-unit wall quantile scaled
+  /// by the units it carries, floored by hedge_min_delay — scaling by the
+  /// leg's own size is what keeps big-but-healthy legs from tripping the
+  /// trigger. Only a live primary not yet hedged qualifies.
+  [[nodiscard]] std::optional<Seconds> hedge_due(const LegSlot& leg,
+                                                 Seconds per_unit) const {
+    if (!leg.live() || leg.hedged || leg.hedge_backup) return std::nullopt;
+    const auto units = hedge_units(leg);
+    if (!units.has_value()) return std::nullopt;
+    return leg.spawned + std::max(per_unit * std::max(*units, 1.0),
+                                  sys.config_.tail.hedge_min_delay);
+  }
+
+  /// The leg burned its retry budget talking to its node: alive but cut
+  /// off. Steers placement away from it, then recovers the work still
+  /// parked in the slot or — past the deadline budget — drops it and flags
+  /// the answer degraded.
+  void settle_unreachable(LegSlot& leg) {
+    sys.ins_.legs_unreachable->inc();
+    if (unreachable_tally != nullptr) unreachable_tally->inc();
+    sys.detector_.suspect_hint(leg.node, sys.sim_.now());
+    if (sys.detector_placement_) sys.table_.mark_stale(leg.node);
+    sys.record_trace(coordinator, node_name(leg) + " unreachable during " +
+                                      std::string(label));
+    // An unreachable backup drops out of its race without recovery: its
+    // work is a copy the primary still owns. A lost coordinator's question
+    // restarts whole.
+    if (leg.hedge_backup || coordinator_down()) return;
+    std::vector<std::size_t> lost = pending(leg, /*take=*/true);
+    if (lost.empty()) return;
+    if (sys.deadline_exceeded(q)) {
+      degrade(lost);
+      return;
+    }
+    if (recover(leg, std::move(lost), /*crashed=*/false)) rescue();
+  }
+
+  /// Drops lost work past the deadline budget and records it.
+  void degrade(std::span<const std::size_t> lost) {
+    drop(lost);
+    sys.record_trace(coordinator, "deadline spent: dropped " +
+                                      std::to_string(lost.size()) + " " +
+                                      std::string(item_noun) + " (degraded)");
+  }
+
+  /// Settles a hedge race in favor of slot `winner`: counts the win/loss,
+  /// abandons every unresolved member (closing its span and, in tied mode,
+  /// cancelling its in-service reservation), and requeues in-flight work a
+  /// shared-queue primary picked up after the hedge snapshot (nobody else
+  /// covers it).
+  void resolve_hedge(std::size_t winner) {
+    LegSlot& w = *slots[winner];
+    if (w.group == nullptr || w.group->resolved) return;
+    const auto group = w.group;
+    group->resolved = true;
+    (w.hedge_backup ? sys.ins_.hedge_wins : sys.ins_.hedge_losses)->inc();
+    const bool tied = sys.config_.tail.tied;
+    bool requeued = false;
+    for (const std::size_t m : group->members) {
+      if (m == winner) continue;
+      LegSlot& s = *slots[m];
+      if (!s.live()) continue;
+      s.abandoned = true;
+      --outstanding;
+      // The loser never closes its own span (it exits at its next
+      // co_await); close it here so critical-path attribution can both
+      // skip it and bill its duration as hedge waste.
+      s.close_span(sys.tracer_, sys.sim_.now(),
+                   {{"hedge_loser", std::int64_t{1}},
+                    {"cancelled", std::int64_t{tied ? 1 : 0}}});
+      if (tied && s.busy_server != nullptr) {
+        if (s.busy_server->cancel(s.busy_handle)) {
+          sys.ins_.legs_cancelled->inc();
+        }
+        s.busy_server = nullptr;
+      }
+      if (s.hedge_backup || !shared_queue) continue;
+      const auto left = pending(s, /*take=*/true);
+      if (!left.empty() && std::find(group->covered.begin(),
+                                     group->covered.end(), left.front()) ==
+                               group->covered.end()) {
+        requeue(left);
+        requeued = true;
+      }
+    }
+    if (requeued) rescue();
+  }
+
+  /// Issues backups for every due leg. Each leg is hedged (or declined —
+  /// no placement available) at most once.
+  void issue_hedges() {
+    const auto delay = sys.hedge_delay(stage);
+    if (!delay.has_value()) return;
+    const std::size_t count = slots.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      LegSlot& s = *slots[i];
+      const auto due = hedge_due(s, *delay);
+      if (!due.has_value() || sys.sim_.now() < *due) continue;
+      s.hedged = true;
+      std::vector<std::size_t> covered = pending(s, /*take=*/false);
+      if (covered.empty()) continue;
+      auto targets = backup_placement(s, covered);
+      if (targets.empty()) continue;
+      auto group = std::make_shared<HedgeGroup>();
+      group->members.push_back(i);
+      group->covered = std::move(covered);
+      s.group = group;
+      for (auto& [node, items] : targets) {
+        spawn(make_leg(node, std::move(items)), group);
+      }
+      sys.record_trace(coordinator, "hedged " + std::string(label) +
+                                        " leg on " + node_name(s));
+    }
+  }
+
+  /// Reply timeout: sweeps the unreported legs for dead nodes and recovers
+  /// their work. A sweep finds only legs whose node crashed after their
+  /// spawn, so with no crash since the last one it would find nothing.
+  void sweep_crashes() {
+    if (sys.crash_count_ == swept_crashes) return;
+    swept_crashes = sys.crash_count_;
+    const bool lost_coordinator = coordinator_down();
+    bool requeued = false;
+    defer_spawns = true;
+    const std::size_t count = slots.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      LegSlot& s = *slots[i];
+      if (!s.live() || sys.crash_epoch_[s.node] == s.epoch) continue;
+      s.declared_dead = true;
+      --outstanding;
+      sys.ins_.legs_lost->inc();
+      // The leg is a zombie and will never close its own span.
+      s.close_span(sys.tracer_, sys.sim_.now(), {{"crashed", std::int64_t{1}}});
+      on_lost(s);
+      sys.table_.remove(s.node);
+      sys.record_trace(coordinator, "lost contact with " + node_name(s) +
+                                        " during " + std::string(label));
+      // A lost coordinator's question restarts whole anyway; a dead
+      // backup's work is a copy whoever it was backing up still owns.
+      if (lost_coordinator || s.hedge_backup) continue;
+      std::vector<std::size_t> lost = pending(s, /*take=*/true);
+      if (lost.empty()) continue;
+      sys.ins_.recovery_latency->observe(sys.sim_.now() -
+                                         sys.crash_time_[s.node]);
+      if (recover(s, std::move(lost), /*crashed=*/true)) requeued = true;
+    }
+    defer_spawns = false;
+    for (auto& slot : std::exchange(deferred, {})) start(std::move(slot));
+    if (requeued) rescue();
+  }
+
+  /// Requeued shared-queue work is stranded unless a live primary still
+  /// drains the queue (a backup drains a private copy): spawns a recovery
+  /// leg for it then.
+  void rescue() {
+    for (const auto& sp : slots) {
+      if (sp->live() && !sp->hedge_backup) return;
+    }
+    spawn_recovery(make_queue_leg(sys.pick_live(weights)));
+  }
+
+ private:
+  void start(std::shared_ptr<LegSlot> slot) {
+    slots.push_back(slot);
+    ++outstanding;
+    launch(std::move(slot), slots.size() - 1);
+  }
+
+  std::vector<std::shared_ptr<LegSlot>> own_slots;  // unless `legs` is given
+};
+
+/// A host-coordinated worker stage (PR or AP) placed by the embedded
+/// dispatcher: legs on `nodes` with `node_weights`. Under RECV the legs
+/// compete for one shared chunk queue; SEND/ISEND legs get weighted
+/// partitions, and recovery re-partitions lost work over the survivors.
+struct System::WorkerStage : FanOut {
+  WorkerStage(System& system, QuestionState& question,
+              simnet::Mailbox<std::size_t>& mailbox, NodeId host,
+              std::size_t host_epoch, obs::SpanId span,
+              StagePlacement placement, Strategy partitioner,
+              std::vector<std::shared_ptr<LegSlot>>* legs = nullptr)
+      : FanOut(system, question, mailbox, host, host_epoch, span, legs),
+        nodes(std::move(placement.nodes)),
+        node_weights(std::move(placement.weights)),
+        strategy(partitioner) {
+    shared_queue = strategy == Strategy::kRecv || nodes.size() == 1;
+    hedge = sys.config_.tail.hedge;
+  }
+
+  std::vector<NodeId> nodes;
+  std::vector<double> node_weights;
+  Strategy strategy;
+  std::shared_ptr<std::deque<parallel::Chunk>> queue;  // RECV only
+
+  /// RECV: cuts `count` items into `chunk`-item chunks on the shared queue
+  /// and starts a leg draining it on every stage node. SEND/ISEND:
+  /// weighted partitions.
+  void place_legs(std::size_t count, std::size_t chunk) {
+    if (shared_queue) {
+      queue = std::make_shared<std::deque<parallel::Chunk>>();
+      for (const auto& c : parallel::make_chunks(count, chunk)) {
+        queue->push_back(c);
+      }
+      for (const NodeId node : nodes) spawn(make_queue_leg(node));
+      return;
+    }
+    for (auto& p : partition(count, node_weights)) {
+      spawn(make_leg(nodes[p.worker], std::move(p.items)));
+    }
+  }
+
+  /// Weighted SEND/ISEND partition of `count` items over `over`.
+  [[nodiscard]] std::vector<parallel::Partition> partition(
+      std::size_t count, std::span<const double> over) const {
+    return strategy == Strategy::kIsend
+               ? parallel::partition_isend(count, over)
+               : parallel::partition_send(count, over);
+  }
+
+  /// Re-partitions `lost` over the stage nodes still schedulable (never
+  /// `exclude`), with their original weights — or onto the host, live and
+  /// local, when none is.
+  void repartition(const std::vector<std::size_t>& lost,
+                   std::optional<NodeId> exclude) {
+    std::vector<NodeId> survivors;
+    std::vector<double> weights_left;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i] == exclude || !sys.schedulable(nodes[i])) continue;
+      survivors.push_back(nodes[i]);
+      weights_left.push_back(node_weights[i]);
+    }
+    if (survivors.empty()) {
+      survivors.push_back(coordinator);
+      weights_left.push_back(1.0);
+    }
+    for (const auto& p : partition(lost.size(), weights_left)) {
+      std::vector<std::size_t> block;
+      block.reserve(p.items.size());
+      for (const std::size_t j : p.items) block.push_back(lost[j]);
+      spawn_recovery(make_leg(survivors[p.worker], std::move(block)));
+    }
+  }
+
+  std::shared_ptr<LegSlot> make_queue_leg(NodeId node) override {
+    auto slot = std::make_shared<WorkerSlot>();
+    slot->node = node;
+    slot->chunks = queue;
+    return slot;
+  }
+  void requeue(const std::vector<std::size_t>& items) override {
+    // At the front, so surviving legs pick it up next. Chunks never split:
+    // the items are exactly one chunk.
+    queue->push_front(parallel::Chunk{items.front(), items.back() + 1});
+  }
+  std::vector<std::size_t> pending(LegSlot& leg, bool take) override {
+    auto& s = static_cast<WorkerSlot&>(leg);
+    std::vector<std::size_t> items = s.units;
+    const auto add = [&items](const parallel::Chunk& c) {
+      for (std::size_t i = c.begin; i < c.end; ++i) items.push_back(i);
+    };
+    if (s.has_in_flight) add(s.in_flight);
+    const bool private_queue = s.chunks != nullptr && !shared_queue;
+    if (private_queue) std::for_each(s.chunks->begin(), s.chunks->end(), add);
+    if (take) {
+      s.units.clear();
+      s.has_in_flight = false;
+      if (private_queue) s.chunks->clear();
+    }
+    return items;
+  }
+  [[nodiscard]] std::optional<double> hedge_units(
+      const LegSlot& leg) const override {
+    // A fixed batch's size alone is its load (done already counts within
+    // it). A queue leg carries what it did, its in-flight chunk and what
+    // it still has queued privately; a shared-queue leg is hedgeable only
+    // once the queue drained — its in-flight chunk is then all that is
+    // left of the stage on that node.
+    const auto& s = static_cast<const WorkerSlot&>(leg);
+    if (!s.units.empty()) return static_cast<double>(s.units.size());
+    if (s.chunks == nullptr) return std::nullopt;
+    if (shared_queue && (!queue->empty() || !s.has_in_flight)) {
+      return std::nullopt;
+    }
+    std::size_t units = s.done + (s.has_in_flight ? s.in_flight.size() : 0);
+    if (!shared_queue) units += s.chunks->size();  // one-unit chunks (PR)
+    return static_cast<double>(units);
+  }
+};
+
+/// Flat PR (scheduling point 2). RECV legs compete for the shared
+/// sub-collection deque (paper Fig. 7a: "four nodes compete for the 8
+/// sub-collections"); SEND legs drain weighted contiguous blocks; in
+/// replica-aware mode each leg drains the units assign_pr_units gave it.
+/// Every PR queue holds one-unit chunks: finished units are durable
+/// (their paragraphs already reached the coordinator's disk), so recovery
+/// is per unit.
+struct System::PrStage : WorkerStage {
+  PrStage(System& system, QuestionState& question,
+          simnet::Mailbox<std::size_t>& mailbox, NodeId host,
+          std::size_t host_epoch, obs::SpanId span, StagePlacement placement,
+          bool replica_aware,
+          std::vector<std::shared_ptr<LegSlot>>* legs = nullptr)
+      : WorkerStage(system, question, mailbox, host, host_epoch, span,
+                    std::move(placement),
+                    system.config_.partition.pr_strategy, legs),
+        sharded(replica_aware) {
+    // Holders of different shards cannot compete for each other's units.
+    shared_queue = shared_queue && !sharded;
+    label = "PR";
+    item_noun = "collections";
+  }
+
+  const bool sharded;
+
+  void place(std::span<const std::size_t> units) {
+    if (!sharded) {
+      place_legs(q.plan->pr_units.size(), /*chunk=*/1);
+      return;
+    }
+    // Scatter-gather over replica holders. With selection off, `units` is
+    // every unit — the pre-broker path.
+    const auto unplaced = scatter(units, std::nullopt);
+    if (slots.size() > 1 ||
+        (!slots.empty() && slots.front()->node != coordinator)) {
+      sys.ins_.migrations_pr->inc();
+    }
+    if (!unplaced.empty()) {
+      // Shards with no live ready holder: their slice of the corpus cannot
+      // be searched right now. Degrade rather than block on a rebuild —
+      // the paper's interactive deadline beats completeness.
+      drop_unserved(unplaced.size());
+      sys.record_trace(coordinator, "no ready replica for " +
+                                        std::to_string(unplaced.size()) +
+                                        " collections (degraded)");
+    }
+  }
+
+  void launch(std::shared_ptr<LegSlot> slot, std::size_t index) override {
+    sys.pr_leg(q, std::static_pointer_cast<WorkerSlot>(std::move(slot)),
+               index, reports, coordinator);
+  }
+  std::shared_ptr<LegSlot> make_leg(NodeId node,
+                                    std::vector<std::size_t> items) override {
+    auto slot = std::make_shared<WorkerSlot>();
+    slot->node = node;
+    slot->chunks = std::make_shared<std::deque<parallel::Chunk>>();
+    for (const std::size_t u : items) slot->chunks->push_back({u, u + 1});
+    return slot;
+  }
+  bool recover(LegSlot& leg, std::vector<std::size_t> lost,
+               bool crashed) override {
+    sys.ins_.items_recovered->inc(static_cast<double>(lost.size()));
+    sys.record_trace(coordinator, "recovered " + std::to_string(lost.size()) +
+                                      " collections from " +
+                                      (crashed ? "" : "unreachable ") +
+                                      node_name(leg));
+    if (shared_queue) {
+      requeue(lost);
+      return true;
+    }
+    if (!sharded) {
+      repartition(lost, crashed ? std::nullopt : std::optional(leg.node));
+      return false;
+    }
+    // Units whose shard has no other live ready holder: degraded.
+    const auto unplaced = scatter(lost, leg.node);
+    if (!unplaced.empty()) {
+      drop_unserved(unplaced.size());
+      sys.record_trace(coordinator, "no surviving replica for " +
+                                        std::to_string(unplaced.size()) +
+                                        " collections (degraded)");
+    }
+    return false;
+  }
+  /// Spawns one private-queue leg per ready holder assign_pr_units picks
+  /// for `units`; returns the units no ready holder can take. Recovery
+  /// fails over lost units to surviving replicas, never the lost holder
+  /// `exclude` (a crash already struck it from the map and kicked off
+  /// background re-replication; retrieval needs only what is ready now).
+  std::vector<std::size_t> scatter(std::span<const std::size_t> units,
+                                   std::optional<NodeId> exclude) {
+    auto assignment = sys.assign_pr_units(units, exclude);
+    for (auto& [node, block] : assignment.legs) {
+      auto leg = make_leg(node, std::move(block));
+      if (exclude.has_value()) {
+        spawn_recovery(std::move(leg));
+      } else {
+        spawn(std::move(leg));
+      }
+    }
+    return std::move(assignment.unplaced);
+  }
+  Node* on_report(LegSlot& /*leg*/) override {
+    // Partial merge: fold each shard leg's scored paragraphs into the
+    // coordinator's merged candidate stream feeding Paragraph Ordering
+    // (the scatter-gather reduce step).
+    return sharded ? sys.nodes_[coordinator].get() : nullptr;
+  }
+  std::vector<std::pair<NodeId, std::vector<std::size_t>>> backup_placement(
+      const LegSlot& leg, std::vector<std::size_t> covered) override {
+    if (!sharded) return FanOut::backup_placement(leg, std::move(covered));
+    // Backups must be replica holders. Only hedge when the whole snapshot
+    // is placeable off the primary — a partial backup could not take over
+    // on a win.
+    auto assignment = sys.assign_pr_units(covered, leg.node);
+    if (!assignment.unplaced.empty()) return {};
+    return std::move(assignment.legs);
+  }
+};
+
+/// AP (scheduling point 3). Recovery granularity follows the answer path:
+/// RECV loses only the in-flight chunk (requeued on the shared deque);
+/// SEND/ISEND lose the whole partition (answers ship once at the end),
+/// which is re-partitioned over the survivors.
+struct System::ApStage : WorkerStage {
+  ApStage(System& system, QuestionState& question,
+          simnet::Mailbox<std::size_t>& mailbox, NodeId host,
+          std::size_t host_epoch, obs::SpanId span, StagePlacement placement)
+      : WorkerStage(system, question, mailbox, host, host_epoch, span,
+                    std::move(placement),
+                    system.config_.partition.ap_strategy) {
+    stage = sched::LegStage::kAp;
+    weights = sched::kApWeights;
+    label = "AP";
+    item_noun = "paragraphs";
+  }
+
+  void launch(std::shared_ptr<LegSlot> slot, std::size_t index) override {
+    sys.ap_leg(q, std::static_pointer_cast<WorkerSlot>(std::move(slot)),
+               index, reports);
+  }
+  std::shared_ptr<LegSlot> make_leg(NodeId node,
+                                    std::vector<std::size_t> items) override {
+    auto slot = std::make_shared<WorkerSlot>();
+    slot->node = node;
+    slot->units = std::move(items);
+    return slot;
+  }
+  bool recover(LegSlot& leg, std::vector<std::size_t> lost,
+               bool crashed) override {
+    sys.ins_.items_recovered->inc(static_cast<double>(lost.size()));
+    const std::string count = std::to_string(lost.size());
+    sys.record_trace(coordinator,
+                     (crashed && shared_queue ? "requeued chunk of "
+                                              : "recovered ") +
+                         count + " paragraphs from " +
+                         (crashed ? "" : "unreachable ") + node_name(leg));
+    if (shared_queue) {
+      requeue(lost);
+      return true;
+    }
+    repartition(lost, crashed ? std::nullopt : std::optional(leg.node));
+    return false;
+  }
+};
+
+/// Brokered PR on the host: slices the selected units by shard group and
+/// hands each slice to that group's broker. A broker that crashes or goes
+/// unreachable has its whole slice re-routed through an acting broker in
+/// the same group (finished units are redone — the aggregate never
+/// shipped), or dropped as degraded when the group has no usable delegate
+/// left. No hedging at this level: the brokers already re-run straggling
+/// workers' units in-subtree.
+struct System::BrokerStage : FanOut {
+  BrokerStage(System& system, QuestionState& question,
+              simnet::Mailbox<std::size_t>& mailbox, NodeId host,
+              std::size_t host_epoch, obs::SpanId span)
+      : FanOut(system, question, mailbox, host, host_epoch, span) {
+    label = "PR";
+    leg_noun = "broker ";
+    item_noun = "collections";
+    spawn_tally = sys.ins_.broker_legs;
+    unreachable_tally = sys.ins_.broker_unreachable;
+  }
+
+  [[nodiscard]] std::size_t group_of(std::size_t unit) const {
+    return sys.topology_->group_of_shard(sys.shard_map_->shard_of_unit(unit));
+  }
+
+  /// A group's acting broker: the designated one (first node of the group)
+  /// when it is schedulable, otherwise the least-loaded live member of the
+  /// group range.
+  [[nodiscard]] std::optional<NodeId> acting_broker(
+      std::size_t group, std::optional<NodeId> exclude) const {
+    const NodeId designated = sys.topology_->broker_node(group);
+    if (designated != exclude && sys.schedulable(designated)) {
+      return designated;
+    }
+    const auto [first, last] = sys.topology_->group_range(group);
+    const auto pick =
+        sched::pick_delegate(sys.table_, first, last, sched::kPrWeights);
+    if (!pick.has_value() || pick == exclude ||
+        sys.node_crashed_[*pick] != 0) {
+      return std::nullopt;
+    }
+    return pick;
+  }
+
+  void place(std::span<const std::size_t> units) {
+    std::vector<std::vector<std::size_t>> by_group(sys.config_.broker.brokers);
+    for (const std::size_t u : units) by_group[group_of(u)].push_back(u);
+    bool off_host = false;
+    std::size_t groups_used = 0;
+    for (std::size_t g = 0; g < by_group.size(); ++g) {
+      if (by_group[g].empty()) continue;
+      ++groups_used;
+      const auto broker = acting_broker(g, std::nullopt);
+      if (!broker.has_value()) {
+        drop_unserved(by_group[g].size());
+        sys.record_trace(coordinator, "group " + std::to_string(g) +
+                                          " has no usable broker: dropped " +
+                                          std::to_string(by_group[g].size()) +
+                                          " collections (degraded)");
+        continue;
+      }
+      if (*broker != sys.topology_->broker_node(g)) {
+        sys.ins_.broker_reroutes->inc();
+      }
+      if (*broker != coordinator) off_host = true;
+      spawn(make_leg(*broker, std::move(by_group[g])));
+    }
+    if (off_host || groups_used > 1) sys.ins_.migrations_pr->inc();
+  }
+
+  void launch(std::shared_ptr<LegSlot> slot, std::size_t index) override {
+    sys.broker_leg(q, std::static_pointer_cast<BrokerSlot>(std::move(slot)),
+                   index, reports);
+  }
+  std::shared_ptr<LegSlot> make_leg(NodeId node,
+                                    std::vector<std::size_t> items) override {
+    auto slot = std::make_shared<BrokerSlot>();
+    slot->node = node;
+    slot->group = group_of(items.front());
+    slot->units = std::move(items);
+    for (const std::size_t u : slot->units) {
+      slot->bytes_out += static_cast<double>(q.plan->pr_units[u].bytes_out);
+    }
+    slot->inner = std::make_shared<simnet::Mailbox<std::size_t>>(sys.sim_);
+    return slot;
+  }
+  std::vector<std::size_t> pending(LegSlot& leg, bool /*take*/) override {
+    return static_cast<BrokerSlot&>(leg).units;  // a slice is redone whole
+  }
+  void drop(std::span<const std::size_t> lost) override {
+    drop_unserved(lost.size());
+  }
+  bool recover(LegSlot& leg, std::vector<std::size_t> lost,
+               bool crashed) override {
+    auto& s = static_cast<BrokerSlot&>(leg);
+    // A slice counts as recovered work when its broker crashed; one cut
+    // off by the network is re-routed without being counted.
+    if (crashed) {
+      sys.ins_.items_recovered->inc(static_cast<double>(lost.size()));
+    }
+    if (sys.deadline_exceeded(q)) {
+      degrade(lost);
+      return false;
+    }
+    const auto next = acting_broker(s.group, s.node);
+    if (!next.has_value()) {
+      drop(lost);
+      sys.record_trace(coordinator, "group " + std::to_string(s.group) +
+                                        " has no surviving broker: dropped " +
+                                        std::to_string(lost.size()) +
+                                        " collections (degraded)");
+      return false;
+    }
+    sys.ins_.broker_reroutes->inc();
+    sys.record_trace(coordinator, "re-routing group " +
+                                      std::to_string(s.group) + " through N" +
+                                      std::to_string(*next + 1));
+    spawn_recovery(make_leg(*next, std::move(lost)));
+    return false;
+  }
+  Node* on_report(LegSlot& leg) override {
+    // The broker already counted the unserved units against
+    // shard_units_unserved at the site where they were lost.
+    const auto& s = static_cast<const BrokerSlot&>(leg);
+    if (s.unserved > 0) drop_degraded(s.unserved);
+    // One merge per broker aggregate — not one per worker leg. This is the
+    // serial-cost redistribution the tier buys.
+    return sys.nodes_[coordinator].get();
+  }
+  void on_lost(LegSlot& leg) override {
+    // The dead broker's worker legs are orphaned: abandon them (zombie
+    // contract) and close their spans here, since neither the dead broker
+    // nor anyone else will.
+    for (const auto& w : static_cast<BrokerSlot&>(leg).workers) {
+      if (!w->live()) continue;
+      w->abandoned = true;
+      w->close_span(sys.tracer_, sys.sim_.now(),
+                    {{"orphaned", std::int64_t{1}}});
+    }
+  }
+};
+
+/// A broker's in-group PR stage: the group's units routed to in-group shard
+/// holders (the grouped shard pools make assign_pr_units in-group by
+/// construction), supervised on the broker's own mailbox, with partial
+/// merges on the broker. Lost units fail over to surviving in-group
+/// replicas, and are dropped in-subtree — tallied on the BrokerSlot, folded
+/// into the question's degraded accounting when the broker reports — when
+/// none is left or the deadline no longer affords them.
+struct System::GroupStage : PrStage {
+  GroupStage(System& system, QuestionState& question, BrokerSlot& slot)
+      : PrStage(system, question, *slot.inner, slot.node, slot.epoch,
+                slot.leg_span, StagePlacement{{slot.node}, {1.0}},
+                /*replica_aware=*/true, &slot.workers),
+        broker(slot) {
+    label = "brokered PR";
+    hedge = false;
+    // Workers outlive a crashed broker's frame: each keeps the inner
+    // mailbox its final report goes to.
+    keepalive = slot.inner;
+  }
+
+  BrokerSlot& broker;
+
+  void place() {
+    const auto unplaced = scatter(broker.units, std::nullopt);
+    if (unplaced.empty()) return;
+    drop(unplaced);
+    sys.record_trace(coordinator, "no ready replica in group " +
+                                      std::to_string(broker.group) + " for " +
+                                      std::to_string(unplaced.size()) +
+                                      " collections (degraded)");
+  }
+
+  [[nodiscard]] bool zombie() const override {
+    return broker.gone(sys.crash_epoch_);
+  }
+  void drop(std::span<const std::size_t> lost) override {
+    for (const std::size_t u : lost) {
+      broker.bytes_out -= static_cast<double>(q.plan->pr_units[u].bytes_out);
+    }
+    broker.unserved += lost.size();
+    sys.ins_.shard_units_unserved->inc(static_cast<double>(lost.size()));
+  }
+  bool recover(LegSlot& leg, std::vector<std::size_t> lost,
+               bool crashed) override {
+    sys.ins_.items_recovered->inc(static_cast<double>(lost.size()));
+    const auto unplaced = scatter(lost, leg.node);
+    if (unplaced.empty()) return false;
+    drop(unplaced);
+    if (crashed) {
+      sys.record_trace(coordinator, "no surviving replica in group " +
+                                        std::to_string(broker.group) +
+                                        " for " +
+                                        std::to_string(unplaced.size()) +
+                                        " collections (degraded)");
+    }
+    return false;
+  }
+  Node* on_report(LegSlot& leg) override {
+    broker.done += leg.done;
+    return PrStage::on_report(leg);  // the merge runs on the broker
+  }
+};
+
+simnet::Task<bool> System::supervise(FanOut& st) {
+  while (st.outstanding > 0) {
+    // Hedge trigger: wake before the reply timeout when the oldest
+    // hedgeable leg crosses the observed leg-wall quantile.
+    Seconds wait = config_.net.membership_timeout;
+    bool hedge_wake = false;
+    const auto delay = st.hedge ? hedge_delay(st.stage) : std::nullopt;
+    for (std::size_t i = 0; delay.has_value() && i < st.slots.size(); ++i) {
+      const auto due = st.hedge_due(*st.slots[i], *delay);
+      if (due.has_value() && *due - sim_.now() < wait) {
+        wait = std::max(*due - sim_.now(), 0.0);
+        hedge_wake = true;
+      }
+    }
+    const auto msg = co_await st.reports.recv_for(wait);
+    if (st.zombie()) co_return false;
+    if (msg.has_value()) {
+      --st.outstanding;
+      LegSlot& s = *st.slots[*msg];
+      if (s.unreachable) {
+        st.settle_unreachable(s);
+        continue;
+      }
+      observe_leg(st.stage, s.node, sim_.now() - s.spawned,
+                  static_cast<double>(s.done), s.hedge_backup);
+      st.resolve_hedge(*msg);
+      Node* merge = st.on_report(s);
+      if (merge != nullptr && !st.coordinator_down()) {
+        co_await merge->compute(config_.shard.partial_merge_cpu);
+        if (st.zombie()) co_return false;
+      }
+      continue;
+    }
+    // The shortened wait elapsed because a leg crossed the hedge trigger,
+    // not because replies went silent: no crash sweep.
+    if (hedge_wake) {
+      st.issue_hedges();
+    } else {
+      st.sweep_crashes();
+    }
+  }
+  co_return true;
+}
+
+System::StagePlacement System::place_stage(NodeId host,
+                                           const sched::LoadWeights& weights,
+                                           double underload_threshold,
+                                           sched::LegStage stage,
+                                           obs::Counter& migrations) {
+  // table_.size() can hit zero under mass churn (every member crashed,
+  // partitioned away, or expired) — then the host carries the stage alone,
+  // same as when every selected node turns out unschedulable below.
+  if (config_.dispatch.policy != Policy::kDqa || table_.size() == 0) {
+    return {{host}, {1.0}};
+  }
+  const auto ms = sched::meta_schedule(table_, weights, underload_threshold,
+                                       &registry_, straggler_mask(stage));
+  // Drop nodes that crashed (but have not yet expired from the table) or
+  // are currently suspected by the failure detector.
+  StagePlacement out;
+  for (std::size_t i = 0; i < ms.selected.size(); ++i) {
+    if (!schedulable(ms.selected[i])) continue;
+    out.nodes.push_back(ms.selected[i]);
+    out.weights.push_back(ms.weights[i]);
+  }
+  if (out.nodes.empty()) return {{host}, {1.0}};
+  if (!config_.partition.enable && out.nodes.size() > 1) {
+    // Partitioning disabled: keep only the heaviest-weighted node.
+    const auto best = static_cast<std::size_t>(
+        std::max_element(out.weights.begin(), out.weights.end()) -
+        out.weights.begin());
+    out = {{out.nodes[best]}, {1.0}};
+  }
+  if (!(out.nodes.size() == 1 && out.nodes[0] == host)) migrations.inc();
+  return out;
+}
+
+std::optional<NodeId> System::least_loaded(
+    const sched::LoadWeights& weights, std::optional<NodeId> exclude,
+    std::span<const char> stragglers) const {
+  // Passes over the pool, most preferred first: trusted non-stragglers,
+  // then suspects, then stragglers. With the detector driving placement,
+  // every member may be a suspect — a suspect still beats an arbitrary
+  // fallback node.
+  for (const bool allow_straggler : {false, true}) {
+    for (const bool allow_suspect : {false, true}) {
+      std::optional<NodeId> best;
+      double best_load = 0.0;
+      for (const NodeId m : table_.members()) {
+        if (m == exclude || node_crashed_[m] != 0) continue;
+        if (!allow_suspect && !schedulable(m)) continue;
+        if (!allow_straggler && m < stragglers.size() && stragglers[m] != 0) {
+          continue;
+        }
+        const double load = sched::load_function(table_.load_of(m), weights);
+        if (!best.has_value() || load < best_load) {
+          best = m;
+          best_load = load;
+        }
+      }
+      if (best.has_value()) return best;
+    }
+  }
+  return std::nullopt;
+}
+
 simnet::SimProcess System::pr_leg(QuestionState& q,
-                                  std::shared_ptr<PrLegSlot> slot,
+                                  std::shared_ptr<WorkerSlot> slot,
                                   std::size_t index,
                                   simnet::Mailbox<std::size_t>& reports,
                                   NodeId relay) {
@@ -1533,49 +2457,24 @@ simnet::SimProcess System::pr_leg(QuestionState& q,
   // A leg is gone — and must exit touching nothing but the slot — when its
   // node crashed under it (zombie) or when it lost a hedge race (the
   // coordinator already closed its span and abandoned it).
-  const auto dead = [&] {
-    return crash_epoch_[node] != slot->epoch || slot->abandoned;
-  };
-  const bool tied = config_.tail.tied;
-  // Unreachable protocol: a ship() that exhausts its retries means the
-  // peer is cut off, not crashed. The leg reports its index with the
-  // pending work still parked in the slot — the coordinator decides
-  // whether to re-partition it over reachable survivors or, past the
-  // deadline budget, drop it and flag the answer degraded.
-  const auto abort_unreachable = [&] {
-    if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-      tracer_->end_span(slot->leg_span, sim_.now(),
-                        {{"unreachable", std::int64_t{1}},
-                         {"net_seconds", ship_cost.transfer},
-                         {"backoff_seconds", ship_cost.backoff}});
-      slot->leg_span = obs::kNoSpan;
-    }
+  const auto dead = [&] { return slot->gone(crash_epoch_); };
+  const auto give_up = [&] {
     q.t_ps_max = std::max(q.t_ps_max, leg_ps);
-    slot->unreachable = true;
-    slot->reported = true;
-    reports.send(index);
+    slot->report_unreachable(tracer_, sim_.now(), ship_cost, reports, index);
   };
 
   std::uint64_t leg_track = 0;
   if (tracer_ != nullptr) {
     leg_track = tracer_->new_track();
-    obs::Attrs attrs{
-        {"node", static_cast<std::int64_t>(node)},
-        {"strategy",
-         std::string(parallel::to_string(config_.partition.pr_strategy))}};
-    // Backup legs carry a distinct mark so critical-path attribution can
-    // tell a hedge win from a wasted backup (only stamped when hedging is
-    // on — default traces stay byte-identical).
-    if (slot->hedge_backup) attrs.emplace_back("hedge", std::int64_t{1});
-    slot->leg_span = tracer_->begin_span(sim_.now(), "PR leg", node,
-                                         leg_track, slot->stage_span,
-                                         std::move(attrs));
+    slot->open_span(*tracer_, sim_.now(), "PR leg",
+                    config_.partition.pr_strategy, leg_track);
   }
 
-  while (!slot->units->empty()) {
-    const std::size_t idx = slot->units->front();
-    slot->units->pop_front();
-    slot->in_flight = idx;
+  while (!slot->chunks->empty()) {
+    slot->in_flight = slot->chunks->front();  // PR chunks are single units
+    slot->chunks->pop_front();
+    slot->has_in_flight = true;
+    const std::size_t idx = slot->in_flight.begin;
     const auto& unit = plan.pr_units[idx];
 
     if (!sent_keywords) {
@@ -1585,7 +2484,7 @@ simnet::SimProcess System::pr_leg(QuestionState& q,
                         deadline, &ship_cost);
       if (dead()) co_return;
       if (!delivered) {
-        abort_unreachable();
+        give_up();
         co_return;
       }
       q.oh_keyword_send += sim_.now() - t0;
@@ -1598,23 +2497,11 @@ simnet::SimProcess System::pr_leg(QuestionState& q,
     // serves the same bytes slower); the factors are 1.0 outside a gray
     // window, so the multiply is IEEE-exact and the healthy path is
     // untouched.
-    const double disk_work =
-        unit.demand.disk_bytes * thrash * executor.gray_disk_factor();
-    if (tied) {
-      co_await CancellableConsume(executor.disk(), disk_work,
-                                  slot->busy_server, slot->busy_handle);
-    } else {
-      co_await executor.disk().consume(disk_work);
-    }
+    co_await slot->consume(executor.disk(), unit.demand.disk_bytes * thrash *
+                                                executor.gray_disk_factor());
     if (dead()) co_return;
-    const double cpu_work =
-        unit.demand.cpu_seconds * thrash * executor.gray_cpu_factor();
-    if (tied) {
-      co_await CancellableConsume(executor.cpu(), cpu_work,
-                                  slot->busy_server, slot->busy_handle);
-    } else {
-      co_await executor.cpu().consume(cpu_work);
-    }
+    co_await slot->consume(executor.cpu(), unit.demand.cpu_seconds * thrash *
+                                               executor.gray_cpu_factor());
     if (dead()) co_return;
     record_event(node,
                  "finished collection " + std::to_string(idx) + " in " +
@@ -1626,14 +2513,8 @@ simnet::SimProcess System::pr_leg(QuestionState& q,
 
     // Paragraph scoring runs fused on the retrieval node (paper Fig. 3).
     const Seconds ps0 = sim_.now();
-    const double ps_work = unit.ps.cpu_seconds * executor.work_multiplier() *
-                           executor.gray_cpu_factor();
-    if (tied) {
-      co_await CancellableConsume(executor.cpu(), ps_work, slot->busy_server,
-                                  slot->busy_handle);
-    } else {
-      co_await executor.cpu().consume(ps_work);
-    }
+    co_await slot->consume(executor.cpu(),
+                           executor.cpu_work(unit.ps.cpu_seconds));
     if (dead()) co_return;
     leg_ps += sim_.now() - ps0;
     if (tracer_ != nullptr) {
@@ -1654,35 +2535,24 @@ simnet::SimProcess System::pr_leg(QuestionState& q,
           &ship_cost);
       if (dead()) co_return;
       if (!delivered) {
-        abort_unreachable();  // in_flight stays set: the unit is redone
+        give_up();  // in_flight stays set: the unit is redone
         co_return;
       }
-      const double receive_work = static_cast<double>(unit.bytes_out) *
-                                  nodes_[host]->gray_disk_factor();
-      if (tied) {
-        co_await CancellableConsume(nodes_[host]->disk(), receive_work,
-                                    slot->busy_server, slot->busy_handle);
-      } else {
-        co_await nodes_[host]->disk().consume(receive_work);
-      }
+      co_await slot->consume(nodes_[host]->disk(),
+                             static_cast<double>(unit.bytes_out) *
+                                 nodes_[host]->gray_disk_factor());
       if (dead()) co_return;
       q.oh_paragraph_receive += sim_.now() - t0;
     }
     // The unit's results now live on the host: durable across our crash.
-    slot->in_flight = kNoUnit;
+    slot->has_in_flight = false;
     ++units_done;
     slot->done = units_done;
   }
   q.t_ps_max = std::max(q.t_ps_max, leg_ps);
-  if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-    tracer_->end_span(slot->leg_span, sim_.now(),
-                      {{"units", static_cast<std::int64_t>(units_done)},
-                       {"net_seconds", ship_cost.transfer},
-                       {"backoff_seconds", ship_cost.backoff}});
-    slot->leg_span = obs::kNoSpan;
-  }
-  slot->reported = true;
-  reports.send(index);
+  slot->report(tracer_, sim_.now(),
+               {{"units", static_cast<std::int64_t>(units_done)}}, ship_cost,
+               reports, index);
 }
 
 simnet::SimProcess System::broker_leg(QuestionState& q,
@@ -1700,44 +2570,15 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
   const NodeId host = q.host;
   const Seconds deadline = q.deadline;
   ShipCost ship_cost;
-  const auto dead = [&] {
-    return crash_epoch_[broker] != slot->epoch || slot->abandoned;
-  };
-  std::uint64_t leg_track = 0;
+  const auto dead = [&] { return slot->gone(crash_epoch_); };
   if (tracer_ != nullptr) {
-    leg_track = tracer_->new_track();
     slot->leg_span = tracer_->begin_span(
-        sim_.now(), "PR broker", broker, leg_track, slot->stage_span,
+        sim_.now(), "PR broker", broker, tracer_->new_track(),
+        slot->stage_span,
         {{"node", static_cast<std::int64_t>(broker)},
          {"group", static_cast<std::int64_t>(slot->group)},
          {"units", static_cast<std::int64_t>(slot->units.size())}});
   }
-  // Same unreachable protocol as pr_leg: report with the group slice still
-  // parked in the slot; the host re-routes it through an acting broker or
-  // degrades.
-  const auto abort_unreachable = [&] {
-    if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-      tracer_->end_span(slot->leg_span, sim_.now(),
-                        {{"unreachable", std::int64_t{1}},
-                         {"net_seconds", ship_cost.transfer},
-                         {"backoff_seconds", ship_cost.backoff}});
-      slot->leg_span = obs::kNoSpan;
-    }
-    slot->unreachable = true;
-    slot->reported = true;
-    reports.send(index);
-  };
-  // In-subtree degradation: drop units whose shard has no live in-group
-  // holder (or whose recovery the deadline no longer affords). Tallied on
-  // the slot; the host folds them into the question's degraded accounting
-  // when this leg reports.
-  const auto drop_units = [&](std::span<const std::size_t> lost) {
-    for (const std::size_t u : lost) {
-      slot->bytes_out -= static_cast<double>(plan.pr_units[u].bytes_out);
-    }
-    slot->unserved += lost.size();
-    ins_.shard_units_unserved->inc(static_cast<double>(lost.size()));
-  };
 
   // Keywords travel host -> broker once (core backbone across groups).
   if (broker != host) {
@@ -1747,142 +2588,20 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
                       deadline, &ship_cost);
     if (dead()) co_return;
     if (!delivered) {
-      abort_unreachable();
+      slot->report_unreachable(tracer_, sim_.now(), ship_cost, reports, index);
       co_return;
     }
     q.oh_keyword_send += sim_.now() - t0;
   }
 
-  // Routing: resolve each unit's shard to an in-group ready holder (the
-  // grouped shard pools make assign_pr_units in-group by construction).
-  co_await executor.cpu().consume(config_.broker.route_cpu *
-                                  executor.work_multiplier() *
-                                  executor.gray_cpu_factor());
+  // Routing: resolve each unit's shard to an in-group ready holder.
+  co_await executor.compute(config_.broker.route_cpu);
   if (dead()) co_return;
 
-  simnet::Mailbox<std::size_t>& inner = *slot->inner;
-  std::uint64_t swept_crashes = crash_count_;
-  const auto spawn = [&](NodeId node, std::deque<std::size_t> block) {
-    auto ws = std::make_shared<PrLegSlot>();
-    ws->node = node;
-    ws->epoch = crash_epoch_[node];
-    ws->units = std::make_shared<std::deque<std::size_t>>(std::move(block));
-    ws->stage_span = slot->leg_span;
-    ws->spawned = sim_.now();
-    ws->keepalive = slot->inner;
-    ins_.legs_spawned->inc();
-    slot->workers.push_back(ws);
-    pr_leg(q, ws, slot->workers.size() - 1, inner, broker);
-  };
   {
-    auto assignment = assign_pr_units(slot->units, std::nullopt);
-    for (auto& [node, block] : assignment.legs) spawn(node, std::move(block));
-    if (!assignment.unplaced.empty()) {
-      drop_units(assignment.unplaced);
-      record_trace(broker, "no ready replica in group " +
-                               std::to_string(slot->group) + " for " +
-                               std::to_string(assignment.unplaced.size()) +
-                               " collections (degraded)");
-    }
-  }
-
-  std::size_t outstanding = slot->workers.size();
-  while (outstanding > 0) {
-    const auto msg = co_await inner.recv_for(config_.net.membership_timeout);
-    if (dead()) co_return;
-    if (msg.has_value()) {
-      --outstanding;
-      PrLegSlot& s = *slot->workers[*msg];
-      if (!s.unreachable) {
-        observe_leg(sched::LegStage::kPr, s.node, sim_.now() - s.spawned,
-                    static_cast<double>(s.done), false);
-        slot->done += s.done;
-        // Partial merge runs on the broker — the serial reduce the tier
-        // takes off the question host.
-        co_await executor.cpu().consume(config_.shard.partial_merge_cpu *
-                                        executor.work_multiplier() *
-                                        executor.gray_cpu_factor());
-        if (dead()) co_return;
-        continue;
-      }
-      // Worker alive but cut off from the broker: recover the work still
-      // parked in the slot over other in-group holders, or degrade once
-      // the deadline budget is spent.
-      ins_.legs_unreachable->inc();
-      detector_.suspect_hint(s.node, sim_.now());
-      if (detector_placement_) table_.mark_stale(s.node);
-      record_trace(broker, "N" + std::to_string(s.node + 1) +
-                               " unreachable during brokered PR");
-      std::vector<std::size_t> lost;
-      if (s.in_flight != kNoUnit) {
-        lost.push_back(s.in_flight);
-        s.in_flight = kNoUnit;
-      }
-      for (const std::size_t u : *s.units) lost.push_back(u);
-      s.units->clear();
-      if (lost.empty()) continue;
-      if (deadline_exceeded(q)) {
-        drop_units(lost);
-        record_trace(broker, "deadline spent: dropped " +
-                                 std::to_string(lost.size()) +
-                                 " collections (degraded)");
-        continue;
-      }
-      ins_.items_recovered->inc(static_cast<double>(lost.size()));
-      auto redo = assign_pr_units(lost, s.node);
-      for (auto& [node, block] : redo.legs) {
-        spawn(node, std::move(block));
-        ++outstanding;
-        ins_.recovery_legs->inc();
-      }
-      if (!redo.unplaced.empty()) drop_units(redo.unplaced);
-      continue;
-    }
-    // Reply timeout: sweep the subtree for crashed workers and fail their
-    // units over to surviving in-group replicas.
-    if (crash_count_ == swept_crashes) continue;  // see question_process
-    swept_crashes = crash_count_;
-    std::vector<std::pair<NodeId, std::deque<std::size_t>>> respawn;
-    for (const auto& wsp : slot->workers) {
-      PrLegSlot& s = *wsp;
-      if (s.reported || s.declared_dead || s.abandoned) continue;
-      if (crash_epoch_[s.node] == s.epoch) continue;  // still alive
-      s.declared_dead = true;
-      --outstanding;
-      ins_.legs_lost->inc();
-      if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-        tracer_->end_span(s.leg_span, sim_.now(),
-                          {{"crashed", std::int64_t{1}}});
-        s.leg_span = obs::kNoSpan;
-      }
-      table_.remove(s.node);
-      record_trace(broker, "lost contact with N" + std::to_string(s.node + 1) +
-                               " during brokered PR");
-      std::vector<std::size_t> lost;
-      if (s.in_flight != kNoUnit) {
-        lost.push_back(s.in_flight);
-        s.in_flight = kNoUnit;
-      }
-      for (const std::size_t u : *s.units) lost.push_back(u);
-      s.units->clear();
-      if (lost.empty()) continue;
-      ins_.items_recovered->inc(static_cast<double>(lost.size()));
-      ins_.recovery_latency->observe(sim_.now() - crash_time_[s.node]);
-      auto redo = assign_pr_units(lost, s.node);
-      for (auto& leg : redo.legs) respawn.push_back(std::move(leg));
-      if (!redo.unplaced.empty()) {
-        drop_units(redo.unplaced);
-        record_trace(broker, "no surviving replica in group " +
-                                 std::to_string(slot->group) + " for " +
-                                 std::to_string(redo.unplaced.size()) +
-                                 " collections (degraded)");
-      }
-    }
-    for (auto& [node, block] : respawn) {
-      spawn(node, std::move(block));
-      ++outstanding;
-      ins_.recovery_legs->inc();
-    }
+    GroupStage stage(*this, q, *slot);
+    stage.place();
+    if (!co_await supervise(stage)) co_return;
   }
 
   // Fan-in: one merged aggregate per group back to the host (instead of
@@ -1894,7 +2613,7 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
         co_await ship(aggregate, broker, host, deadline, &ship_cost);
     if (dead()) co_return;
     if (!delivered) {
-      abort_unreachable();
+      slot->report_unreachable(tracer_, sim_.now(), ship_cost, reports, index);
       co_return;
     }
     co_await nodes_[host]->disk().consume(aggregate *
@@ -1902,23 +2621,17 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
     if (dead()) co_return;
     q.oh_paragraph_receive += sim_.now() - t0;
   }
-  if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-    tracer_->end_span(slot->leg_span, sim_.now(),
-                      {{"units", static_cast<std::int64_t>(slot->done)},
-                       {"unserved", static_cast<std::int64_t>(slot->unserved)},
-                       {"net_seconds", ship_cost.transfer},
-                       {"backoff_seconds", ship_cost.backoff}});
-    slot->leg_span = obs::kNoSpan;
-  }
-  slot->reported = true;
-  reports.send(index);
+  slot->report(tracer_, sim_.now(),
+               {{"units", static_cast<std::int64_t>(slot->done)},
+                {"unserved", static_cast<std::int64_t>(slot->unserved)}},
+               ship_cost, reports, index);
 }
 
 simnet::SimProcess System::ap_leg(QuestionState& q,
-                                  std::shared_ptr<ApLegSlot> slot,
+                                  std::shared_ptr<WorkerSlot> slot,
                                   std::size_t index,
                                   simnet::Mailbox<std::size_t>& reports) {
-  // Same crash protocol as pr_leg (see there).
+  // Same crash and unreachable protocols as pr_leg (see there).
   const NodeId node = slot->node;
   Node& executor = *nodes_[node];
   const QuestionPlan& plan = *q.plan;
@@ -1928,112 +2641,45 @@ simnet::SimProcess System::ap_leg(QuestionState& q,
   const Seconds leg_start = sim_.now();
   std::size_t processed = 0;
   ShipCost ship_cost;  // see pr_leg
-  // Crashed-or-abandoned check; see pr_leg.
-  const auto dead = [&] {
-    return crash_epoch_[node] != slot->epoch || slot->abandoned;
-  };
-  const bool tied = config_.tail.tied;
-  // Same unreachable protocol as pr_leg: give up, leave the pending work
-  // in the slot, report for the coordinator to recover or degrade.
-  const auto abort_unreachable = [&] {
-    if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-      tracer_->end_span(slot->leg_span, sim_.now(),
-                        {{"unreachable", std::int64_t{1}},
-                         {"net_seconds", ship_cost.transfer},
-                         {"backoff_seconds", ship_cost.backoff}});
-      slot->leg_span = obs::kNoSpan;
-    }
-    slot->unreachable = true;
-    slot->reported = true;
-    reports.send(index);
+  const auto dead = [&] { return slot->gone(crash_epoch_); };
+  const auto give_up = [&] {
+    slot->report_unreachable(tracer_, sim_.now(), ship_cost, reports, index);
   };
 
   if (tracer_ != nullptr) {
-    const std::uint64_t leg_track = tracer_->new_track();
-    obs::Attrs attrs{
-        {"node", static_cast<std::int64_t>(node)},
-        {"strategy",
-         std::string(parallel::to_string(config_.partition.ap_strategy))}};
-    if (slot->hedge_backup) attrs.emplace_back("hedge", std::int64_t{1});
-    slot->leg_span =
-        tracer_->begin_span(sim_.now(), "AP leg", node, leg_track,
-                            slot->stage_span, std::move(attrs));
+    slot->open_span(*tracer_, sim_.now(), "AP leg",
+                    config_.partition.ap_strategy, tracer_->new_track());
   }
 
-  // Each batch: ship paragraphs in, burn CPU per paragraph, ship answers
-  // back. Answers return per batch, which is why tiny RECV chunks pay more
-  // overhead (paper Sec. 4.1.2).
-  if (slot->chunks != nullptr) {
-    // RECV: compete for chunks. Only the in-flight chunk is at risk on a
-    // crash — earlier chunks already returned their answers.
-    while (!slot->chunks->empty()) {
+  // Each batch: ship its paragraphs in, burn CPU per paragraph, extract
+  // its answers, ship them back. Answers return per batch, which is why
+  // tiny RECV chunks pay more overhead (paper Sec. 4.1.2). A RECV leg runs
+  // one batch per chunk it wins from the shared deque: only the in-flight
+  // chunk is at risk on a crash — earlier chunks already returned their
+  // answers. A SEND/ISEND leg runs its fixed partition as one batch:
+  // nothing is durable until the final answer transfer lands, so a crash
+  // loses the whole partition.
+  const bool recv = slot->chunks != nullptr;
+  for (bool first = true; recv ? !slot->chunks->empty() : first;
+       first = false) {
+    std::size_t begin = 0;
+    std::size_t count = slot->units.size();
+    if (recv) {
       const parallel::Chunk chunk = slot->chunks->front();
       slot->chunks->pop_front();
       slot->in_flight = chunk;
       slot->has_in_flight = true;
-      std::size_t bytes_in = 0;
-      std::size_t bytes_out = 0;
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-        bytes_in += plan.ap_units[i].bytes_in;
-        bytes_out += plan.ap_units[i].answer_bytes_out;
-      }
-      if (remote && bytes_in > 0) {
-        const Seconds t0 = sim_.now();
-        const bool delivered = co_await ship(static_cast<double>(bytes_in),
-                                             host, node, deadline, &ship_cost);
-        if (dead()) co_return;
-        if (!delivered) {
-          abort_unreachable();  // in-flight chunk stays in the slot
-          co_return;
-        }
-        q.oh_paragraph_send += sim_.now() - t0;
-      }
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-        const double work = plan.ap_units[i].demand.cpu_seconds *
-                            executor.work_multiplier() *
-                            executor.gray_cpu_factor();
-        if (tied) {
-          co_await CancellableConsume(executor.cpu(), work, slot->busy_server,
-                                      slot->busy_handle);
-        } else {
-          co_await executor.cpu().consume(work);
-        }
-        if (dead()) co_return;
-        ++processed;
-        slot->done = processed;
-      }
-      // Per-batch answer extraction floor (paper Sec. 4.1.2).
-      const double floor_work =
-          config_.partition.per_batch_answer_cpu * executor.gray_cpu_factor();
-      if (tied) {
-        co_await CancellableConsume(executor.cpu(), floor_work,
-                                    slot->busy_server, slot->busy_handle);
-      } else {
-        co_await executor.cpu().consume(floor_work);
-      }
-      if (dead()) co_return;
-      if (remote && bytes_out > 0) {
-        const Seconds t0 = sim_.now();
-        const bool delivered = co_await ship(static_cast<double>(bytes_out),
-                                             node, host, deadline, &ship_cost);
-        if (dead()) co_return;
-        if (!delivered) {
-          abort_unreachable();  // answers never landed: chunk is redone
-          co_return;
-        }
-        q.oh_answer_receive += sim_.now() - t0;
-      }
-      slot->has_in_flight = false;  // answers are back: chunk is durable
+      begin = chunk.begin;
+      count = chunk.size();
     }
-  } else {
-    // SEND/ISEND: the sender shipped us a fixed partition; move its input
-    // once, process, return answers once. Nothing is durable until the
-    // final answer transfer lands, so a crash loses the whole partition.
+    const auto paragraph = [&](std::size_t k) -> const auto& {
+      return plan.ap_units[recv ? begin + k : slot->units[k]];
+    };
     std::size_t bytes_in = 0;
     std::size_t bytes_out = 0;
-    for (std::size_t i : slot->units) {
-      bytes_in += plan.ap_units[i].bytes_in;
-      bytes_out += plan.ap_units[i].answer_bytes_out;
+    for (std::size_t k = 0; k < count; ++k) {
+      bytes_in += paragraph(k).bytes_in;
+      bytes_out += paragraph(k).answer_bytes_out;
     }
     if (remote && bytes_in > 0) {
       const Seconds t0 = sim_.now();
@@ -2041,35 +2687,23 @@ simnet::SimProcess System::ap_leg(QuestionState& q,
                                            host, node, deadline, &ship_cost);
       if (dead()) co_return;
       if (!delivered) {
-        abort_unreachable();  // the whole partition stays in the slot
+        give_up();  // the batch stays in the slot
         co_return;
       }
       q.oh_paragraph_send += sim_.now() - t0;
     }
-    for (std::size_t i : slot->units) {
-      const double work = plan.ap_units[i].demand.cpu_seconds *
-                          executor.work_multiplier() *
-                          executor.gray_cpu_factor();
-      if (tied) {
-        co_await CancellableConsume(executor.cpu(), work, slot->busy_server,
-                                    slot->busy_handle);
-      } else {
-        co_await executor.cpu().consume(work);
-      }
+    for (std::size_t k = 0; k < count; ++k) {
+      co_await slot->consume(
+          executor.cpu(), executor.cpu_work(paragraph(k).demand.cpu_seconds));
       if (dead()) co_return;
       ++processed;
       slot->done = processed;
     }
-    if (processed > 0) {
-      // One answer-extraction pass per partition (paper Sec. 4.1.2).
-      const double floor_work =
-          config_.partition.per_batch_answer_cpu * executor.gray_cpu_factor();
-      if (tied) {
-        co_await CancellableConsume(executor.cpu(), floor_work,
-                                    slot->busy_server, slot->busy_handle);
-      } else {
-        co_await executor.cpu().consume(floor_work);
-      }
+    if (count > 0) {
+      // Per-batch answer extraction floor (paper Sec. 4.1.2).
+      co_await slot->consume(executor.cpu(),
+                             config_.partition.per_batch_answer_cpu *
+                                 executor.gray_cpu_factor());
       if (dead()) co_return;
     }
     if (remote && bytes_out > 0) {
@@ -2078,11 +2712,12 @@ simnet::SimProcess System::ap_leg(QuestionState& q,
                                            node, host, deadline, &ship_cost);
       if (dead()) co_return;
       if (!delivered) {
-        abort_unreachable();  // answers never landed: partition is redone
+        give_up();  // answers never landed: the batch is redone
         co_return;
       }
       q.oh_answer_receive += sim_.now() - t0;
     }
+    slot->has_in_flight = false;  // answers are back: the batch is durable
   }
   if (processed > 0) {
     record_event(node,
@@ -2091,15 +2726,9 @@ simnet::SimProcess System::ap_leg(QuestionState& q,
                  {{"kind", std::string("ap_done")},
                   {"paragraphs", static_cast<std::int64_t>(processed)}});
   }
-  if (tracer_ != nullptr && slot->leg_span != obs::kNoSpan) {
-    tracer_->end_span(slot->leg_span, sim_.now(),
-                      {{"paragraphs", static_cast<std::int64_t>(processed)},
-                       {"net_seconds", ship_cost.transfer},
-                       {"backoff_seconds", ship_cost.backoff}});
-    slot->leg_span = obs::kNoSpan;
-  }
-  slot->reported = true;
-  reports.send(index);
+  slot->report(tracer_, sim_.now(),
+               {{"paragraphs", static_cast<std::int64_t>(processed)}},
+               ship_cost, reports, index);
 }
 
 simnet::SimProcess System::question_process(const QuestionPlan& plan,
@@ -2224,33 +2853,6 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
   }
   if (node_crashed_[host] != 0) host = pick_live(sched::kQaWeights);
 
-  // Backup target for a hedged leg: the least-loaded live member other
-  // than the (presumed slow) primary, preferring unsuspected non-straggler
-  // members. Returns nullopt when the pool holds no alternative.
-  const auto pick_backup =
-      [&](NodeId exclude, const sched::LoadWeights& weights,
-          sched::LegStage stage) -> std::optional<NodeId> {
-    const auto mask = straggler_mask(stage);
-    for (const bool allow_straggler : {false, true}) {
-      for (const bool allow_suspect : {false, true}) {
-        std::optional<NodeId> best;
-        double best_load = 0.0;
-        for (const NodeId m : table_.members()) {
-          if (m == exclude || node_crashed_[m] != 0) continue;
-          if (!allow_suspect && !schedulable(m)) continue;
-          if (!allow_straggler && m < mask.size() && mask[m] != 0) continue;
-          const double load = sched::load_function(table_.load_of(m), weights);
-          if (!best.has_value() || load < best_load) {
-            best = m;
-            best_load = load;
-          }
-        }
-        if (best.has_value()) return best;
-      }
-    }
-    return std::nullopt;
-  };
-
   // ---- Attempt loop: one pass per host. A host crash loses the question
   // (its state dies with the process); after the front-end's reply timeout
   // it is resubmitted to a surviving node and starts over from QP.
@@ -2282,9 +2884,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     bool cached_paragraphs = false;
     if (cache_on) {
       const Seconds t0 = sim_.now();
-      co_await nodes_[host]->cpu().consume(config_.cache.lookup_cpu *
-                                           nodes_[host]->work_multiplier() *
-                                           nodes_[host]->gray_cpu_factor());
+      co_await nodes_[host]->compute(config_.cache.lookup_cpu);
       failed = host_dead();
       bool cached_answer = false;
       if (!failed) {
@@ -2324,9 +2924,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       if (tracer_ != nullptr) {
         sp = tracer_->begin_span(t0, "QP", host, q_track, q_span, {});
       }
-      co_await nodes_[host]->cpu().consume(plan.qp.cpu_seconds *
-                                           nodes_[host]->work_multiplier() *
-                                           nodes_[host]->gray_cpu_factor());
+      co_await nodes_[host]->compute(plan.qp.cpu_seconds);
       failed = host_dead();
       q.t_qp = sim_.now() - t0;
       if (sp != obs::kNoSpan) tracer_->end_span(sp, sim_.now());
@@ -2336,747 +2934,41 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // entirely on a paragraph-cache hit: the accepted, scored paragraphs
     // are already on the host's disk from a previous run of this question.
     if (!failed && !cached_paragraphs) {
-      // Replica-aware mode (R < nodes): placement is constrained to ready
-      // replica holders, so the scatter is computed per unit by
-      // assign_pr_units instead of the unconstrained meta-schedule below.
-      const bool sharded = shard_partial_;
       ensure_selection();
       const SelectionResult& sel = *sel_opt;
-      // Broker tier: the host routes per-group slices through mediator
-      // nodes instead of fanning out to every holder itself.
-      const bool brokered = topology_.has_value();
-      std::vector<NodeId> pr_nodes{host};
-      std::vector<double> pr_weights{1.0};
-      // table_.size() can hit zero under mass churn (every member crashed,
-      // partitioned away, or expired) — then the host carries the stage
-      // alone, same as when every selected node turns out dead below.
-      if (!sharded && config_.dispatch.policy == Policy::kDqa &&
-          table_.size() > 0) {
-        auto ms = sched::meta_schedule(table_, sched::kPrWeights,
-                                       config_.dispatch.pr_underload_threshold,
-                                       &registry_,
-                                       straggler_mask(sched::LegStage::kPr));
-        // Drop nodes that crashed (but have not yet expired from the
-        // table) or are currently suspected by the failure detector.
-        std::vector<NodeId> live_sel;
-        std::vector<double> live_w;
-        for (std::size_t i = 0; i < ms.selected.size(); ++i) {
-          if (!schedulable(ms.selected[i])) continue;
-          live_sel.push_back(ms.selected[i]);
-          live_w.push_back(ms.weights[i]);
-        }
-        ms.selected = std::move(live_sel);
-        ms.weights = std::move(live_w);
-        if (ms.selected.empty()) {
-          ms.selected = {host};
-          ms.weights = {1.0};
-        }
-        if (!config_.partition.enable && ms.selected.size() > 1) {
-          // Partitioning disabled: keep only the heaviest-weighted node.
-          const std::size_t best = static_cast<std::size_t>(
-              std::max_element(ms.weights.begin(), ms.weights.end()) -
-              ms.weights.begin());
-          ms.selected = {ms.selected[best]};
-          ms.weights = {1.0};
-          ms.partitioned = false;
-        }
-        if (!(ms.selected.size() == 1 && ms.selected[0] == host)) {
-          ins_.migrations_pr->inc();
-        }
-        pr_nodes = std::move(ms.selected);
-        pr_weights = std::move(ms.weights);
-      }
+      // Replica-aware mode (R < nodes): placement is constrained to ready
+      // replica holders, so the scatter is computed per unit by
+      // assign_pr_units instead of the unconstrained meta-schedule.
+      const bool sharded = shard_partial_;
+      StagePlacement pr =
+          sharded ? StagePlacement{{host}, {1.0}}
+                  : place_stage(host, sched::kPrWeights,
+                                config_.dispatch.pr_underload_threshold,
+                                sched::LegStage::kPr, *ins_.migrations_pr);
 
-      // ---- PR stage with supervision. Legs report on `reports`; a reply
-      // silence of membership_timeout triggers a liveness sweep, and dead
-      // legs' unfinished sub-collections are recovered: requeued on the
-      // shared deque under RECV, re-partitioned over the surviving stage
-      // nodes under SEND. Finished units are durable (their paragraphs
-      // already reached the host disk), so recovery is per-unit.
+      // ---- PR stage with supervision (see supervise): legs report on
+      // `reports`, a reply silence of membership_timeout triggers a
+      // liveness sweep, and lost sub-collections are recovered per unit.
       const Seconds pr_start = sim_.now();
       obs::SpanId pr_span = obs::kNoSpan;
       if (tracer_ != nullptr) {
         pr_span = tracer_->begin_span(
             pr_start, "PR", host, q_track, q_span,
-            {{"legs", static_cast<std::int64_t>(pr_nodes.size())},
+            {{"legs", static_cast<std::int64_t>(pr.nodes.size())},
              {"units", static_cast<std::int64_t>(sel.units.size())}});
       }
-      if (brokered) {
-        // ---- Brokered PR: slice the selected units by shard group, hand
-        // each slice to that group's broker, and supervise the brokers the
-        // way the flat path supervises worker legs. A broker that crashes
-        // or goes unreachable has its whole slice re-routed through an
-        // acting broker in the same group (finished units are redone — the
-        // aggregate never shipped), or dropped as degraded when the group
-        // has no usable delegate left. No hedging at this level: the
-        // brokers already re-run straggling workers' units in-subtree.
-        simnet::Mailbox<std::size_t> reports(sim_);
-        std::vector<std::shared_ptr<BrokerSlot>> slots;
-        std::uint64_t swept_crashes = crash_count_;
-        const auto spawn_broker = [&](NodeId node, std::size_t group,
-                                      std::vector<std::size_t> units) {
-          auto slot = std::make_shared<BrokerSlot>();
-          slot->node = node;
-          slot->epoch = crash_epoch_[node];
-          slot->group = group;
-          slot->units = std::move(units);
-          for (const std::size_t u : slot->units) {
-            slot->bytes_out += static_cast<double>(plan.pr_units[u].bytes_out);
-          }
-          slot->stage_span = pr_span;
-          slot->spawned = sim_.now();
-          slot->inner = std::make_shared<simnet::Mailbox<std::size_t>>(sim_);
-          ins_.broker_legs->inc();
-          ins_.legs_spawned->inc();
-          slots.push_back(slot);
-          broker_leg(q, slot, slots.size() - 1, reports);
-        };
-        // A group's acting broker: the designated one (first node of the
-        // group) when it is schedulable, otherwise the least-loaded live
-        // member of the group range.
-        const auto acting_broker =
-            [&](std::size_t group,
-                std::optional<NodeId> exclude) -> std::optional<NodeId> {
-          const NodeId designated = topology_->broker_node(group);
-          if (designated != exclude && schedulable(designated)) {
-            return designated;
-          }
-          const auto [first, last] = topology_->group_range(group);
-          const auto pick =
-              sched::pick_delegate(table_, first, last, sched::kPrWeights);
-          if (!pick.has_value() || pick == exclude ||
-              node_crashed_[*pick] != 0) {
-            return std::nullopt;
-          }
-          return pick;
-        };
-        const auto degrade_units = [&](std::size_t count) {
-          q.degraded = true;
-          ins_.degraded_units_dropped->inc(static_cast<double>(count));
-          ins_.shard_units_unserved->inc(static_cast<double>(count));
-        };
-        std::vector<std::vector<std::size_t>> by_group(
-            config_.broker.brokers);
-        for (const std::size_t u : sel.units) {
-          by_group[topology_->group_of_shard(shard_map_->shard_of_unit(u))]
-              .push_back(u);
-        }
-        bool off_host = false;
-        std::size_t groups_used = 0;
-        for (std::size_t g = 0; g < by_group.size(); ++g) {
-          if (by_group[g].empty()) continue;
-          ++groups_used;
-          const auto broker = acting_broker(g, std::nullopt);
-          if (!broker.has_value()) {
-            degrade_units(by_group[g].size());
-            record_trace(host, "group " + std::to_string(g) +
-                                   " has no usable broker: dropped " +
-                                   std::to_string(by_group[g].size()) +
-                                   " collections (degraded)");
-            continue;
-          }
-          if (*broker != topology_->broker_node(g)) {
-            ins_.broker_reroutes->inc();
-          }
-          if (*broker != host) off_host = true;
-          spawn_broker(*broker, g, std::move(by_group[g]));
-        }
-        if (off_host || groups_used > 1) ins_.migrations_pr->inc();
-
-        std::size_t outstanding = slots.size();
-        // Re-route a failed broker's whole slice (or degrade it once no
-        // delegate or deadline budget remains).
-        const auto reroute = [&](BrokerSlot& s) {
-          if (s.units.empty()) return;
-          if (deadline_exceeded(q)) {
-            degrade_units(s.units.size());
-            record_trace(host, "deadline spent: dropped " +
-                                   std::to_string(s.units.size()) +
-                                   " collections (degraded)");
-            return;
-          }
-          const auto next = acting_broker(s.group, s.node);
-          if (!next.has_value()) {
-            degrade_units(s.units.size());
-            record_trace(host, "group " + std::to_string(s.group) +
-                                   " has no surviving broker: dropped " +
-                                   std::to_string(s.units.size()) +
-                                   " collections (degraded)");
-            return;
-          }
-          ins_.broker_reroutes->inc();
-          ins_.recovery_legs->inc();
-          record_trace(host, "re-routing group " + std::to_string(s.group) +
-                                 " through N" + std::to_string(*next + 1));
-          spawn_broker(*next, s.group, s.units);
-          ++outstanding;
-        };
-        while (outstanding > 0) {
-          const auto msg =
-              co_await reports.recv_for(config_.net.membership_timeout);
-          if (msg.has_value()) {
-            --outstanding;
-            BrokerSlot& s = *slots[*msg];
-            if (!s.unreachable) {
-              observe_leg(sched::LegStage::kPr, s.node, sim_.now() - s.spawned,
-                          static_cast<double>(s.done), false);
-              if (s.unserved > 0) {
-                // The broker already counted the unserved units against
-                // shard_units_unserved at the site where they were lost.
-                q.degraded = true;
-                ins_.degraded_units_dropped->inc(
-                    static_cast<double>(s.unserved));
-              }
-              if (!host_dead()) {
-                // One merge per broker aggregate — not one per worker leg.
-                // This is the serial-cost redistribution the tier buys.
-                co_await nodes_[host]->cpu().consume(
-                    config_.shard.partial_merge_cpu *
-                    nodes_[host]->work_multiplier() *
-                    nodes_[host]->gray_cpu_factor());
-              }
-              continue;
-            }
-            ins_.broker_unreachable->inc();
-            ins_.legs_unreachable->inc();
-            detector_.suspect_hint(s.node, sim_.now());
-            if (detector_placement_) table_.mark_stale(s.node);
-            record_trace(host, "broker N" + std::to_string(s.node + 1) +
-                                   " unreachable during PR");
-            if (host_dead()) continue;  // the whole question restarts
-            reroute(s);
-            continue;
-          }
-          // Reply timeout: sweep for crashed brokers. Their worker legs
-          // are orphaned — abandon them (zombie contract) and close their
-          // spans here, since neither the dead broker nor anyone else will.
-          if (crash_count_ == swept_crashes) continue;  // see the PR loop
-          swept_crashes = crash_count_;
-          const bool host_down = host_dead();
-          const std::size_t count = slots.size();
-          for (std::size_t i = 0; i < count; ++i) {
-            BrokerSlot& s = *slots[i];
-            if (s.reported || s.declared_dead || s.abandoned) continue;
-            if (crash_epoch_[s.node] == s.epoch) continue;  // still alive
-            s.declared_dead = true;
-            --outstanding;
-            ins_.legs_lost->inc();
-            if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-              tracer_->end_span(s.leg_span, sim_.now(),
-                                {{"crashed", std::int64_t{1}}});
-              s.leg_span = obs::kNoSpan;
-            }
-            for (const auto& wsp : s.workers) {
-              PrLegSlot& w = *wsp;
-              if (w.reported || w.declared_dead || w.abandoned) continue;
-              w.abandoned = true;
-              if (tracer_ != nullptr && w.leg_span != obs::kNoSpan) {
-                tracer_->end_span(w.leg_span, sim_.now(),
-                                  {{"orphaned", std::int64_t{1}}});
-                w.leg_span = obs::kNoSpan;
-              }
-            }
-            table_.remove(s.node);
-            record_trace(host, "lost contact with broker N" +
-                                   std::to_string(s.node + 1) + " during PR");
-            if (host_down) continue;  // the whole question restarts anyway
-            ins_.items_recovered->inc(static_cast<double>(s.units.size()));
-            ins_.recovery_latency->observe(sim_.now() - crash_time_[s.node]);
-            reroute(s);
-          }
-        }
+      simnet::Mailbox<std::size_t> reports(sim_);
+      if (topology_.has_value()) {
+        // Broker tier: the host routes per-group slices through mediator
+        // nodes instead of fanning out to every holder itself.
+        BrokerStage stage(*this, q, reports, host, host_epoch, pr_span);
+        stage.place(sel.units);
+        co_await supervise(stage);
       } else {
-        simnet::Mailbox<std::size_t> reports(sim_);
-        std::vector<std::shared_ptr<PrLegSlot>> slots;
-        std::uint64_t swept_crashes = crash_count_;
-        const auto spawn = [&](NodeId node,
-                               std::shared_ptr<std::deque<std::size_t>> units,
-                               std::shared_ptr<HedgeGroup> group = nullptr,
-                               bool backup = false) {
-          auto slot = std::make_shared<PrLegSlot>();
-          slot->node = node;
-          slot->epoch = crash_epoch_[node];
-          slot->units = std::move(units);
-          slot->stage_span = pr_span;
-          slot->spawned = sim_.now();
-          slot->group = std::move(group);
-          slot->hedge_backup = backup;
-          (backup ? ins_.hedges_issued : ins_.legs_spawned)->inc();
-          slots.push_back(slot);
-          pr_leg(q, slot, slots.size() - 1, reports, host);
-        };
-        const bool shared_queue =
-            !sharded && (config_.partition.pr_strategy == Strategy::kRecv ||
-                         pr_nodes.size() == 1);
-        std::shared_ptr<std::deque<std::size_t>> shared_units;
-        if (sharded) {
-          // Scatter-gather over replica holders. Legs get private queues:
-          // holders of different shards cannot compete for each other's
-          // units, so the RECV shared deque does not apply here. With
-          // selection off, sel.units is every unit — the pre-broker path.
-          auto assignment = assign_pr_units(sel.units, std::nullopt);
-          bool off_host = false;
-          for (auto& [node, block] : assignment.legs) {
-            if (node != host) off_host = true;
-            spawn(node, std::make_shared<std::deque<std::size_t>>(
-                            std::move(block)));
-          }
-          if (off_host || assignment.legs.size() > 1) {
-            ins_.migrations_pr->inc();
-          }
-          if (!assignment.unplaced.empty()) {
-            // Shards with no live ready holder: their slice of the corpus
-            // cannot be searched right now. Degrade rather than block on a
-            // rebuild — the paper's interactive deadline beats completeness.
-            q.degraded = true;
-            ins_.degraded_units_dropped->inc(
-                static_cast<double>(assignment.unplaced.size()));
-            ins_.shard_units_unserved->inc(
-                static_cast<double>(assignment.unplaced.size()));
-            record_trace(host,
-                         "no ready replica for " +
-                             std::to_string(assignment.unplaced.size()) +
-                             " collections (degraded)");
-          }
-        } else if (shared_queue) {
-          // Receiver-controlled: every leg competes for the sub-collection
-          // queue (paper Fig. 7a: "four nodes compete for the 8 sub-
-          // collections").
-          shared_units = std::make_shared<std::deque<std::size_t>>();
-          for (std::size_t i = 0; i < plan.pr_units.size(); ++i) {
-            shared_units->push_back(i);
-          }
-          for (NodeId node : pr_nodes) spawn(node, shared_units);
-        } else {
-          // SEND ablation: weighted contiguous blocks of sub-collections.
-          const auto partitions =
-              parallel::partition_send(plan.pr_units.size(), pr_weights);
-          for (const auto& p : partitions) {
-            spawn(pr_nodes[p.worker],
-                  std::make_shared<std::deque<std::size_t>>(p.items.begin(),
-                                                            p.items.end()));
-          }
-        }
-
-        std::size_t outstanding = slots.size();
-        const bool hedge_on = config_.tail.hedge;
-        // Settles a hedge race in favor of `winner`: counts the win/loss,
-        // abandons every unresolved member (closing its span and, in tied
-        // mode, cancelling its in-service reservation), and requeues any
-        // in-flight unit a shared-queue primary picked up *after* the
-        // hedge snapshot (nobody else covers that one).
-        const auto resolve_hedge = [&](std::size_t winner) {
-          PrLegSlot& w = *slots[winner];
-          if (w.group == nullptr || w.group->resolved) return;
-          const auto group = w.group;
-          group->resolved = true;
-          (w.hedge_backup ? ins_.hedge_wins : ins_.hedge_losses)->inc();
-          bool requeued = false;
-          for (const std::size_t m : group->members) {
-            if (m == winner) continue;
-            PrLegSlot& s = *slots[m];
-            if (s.reported || s.declared_dead || s.abandoned) continue;
-            s.abandoned = true;
-            --outstanding;
-            if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-              // The loser never closes its own span (it exits at its next
-              // co_await); close it here so critical-path attribution can
-              // both skip it and bill its duration as hedge waste.
-              tracer_->end_span(
-                  s.leg_span, sim_.now(),
-                  {{"hedge_loser", std::int64_t{1}},
-                   {"cancelled", std::int64_t{config_.tail.tied ? 1 : 0}}});
-              s.leg_span = obs::kNoSpan;
-            }
-            if (config_.tail.tied && s.busy_server != nullptr) {
-              if (s.busy_server->cancel(s.busy_handle)) {
-                ins_.legs_cancelled->inc();
-              }
-              s.busy_server = nullptr;
-            }
-            if (!s.hedge_backup && s.in_flight != kNoUnit &&
-                std::find(group->covered.begin(), group->covered.end(),
-                          s.in_flight) == group->covered.end()) {
-              if (shared_units != nullptr) {
-                shared_units->push_front(s.in_flight);
-                requeued = true;
-              }
-            }
-            s.in_flight = kNoUnit;
-          }
-          if (requeued) {
-            bool any_live = false;
-            for (const auto& sp : slots) {
-              if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                  !sp->hedge_backup) {
-                any_live = true;
-                break;
-              }
-            }
-            if (!any_live) {
-              spawn(pick_live(sched::kPrWeights), shared_units);
-              ++outstanding;
-              ins_.recovery_legs->inc();
-            }
-          }
-        };
-        // Due time for a waiting leg: the per-unit wall quantile scaled by
-        // the units the leg carries (done + in-flight + still queued),
-        // floored by hedge_min_delay. Scaling by the leg's own size is
-        // what keeps big-but-healthy legs from tripping the trigger.
-        const auto hedge_due = [&](const PrLegSlot& s, Seconds per_unit) {
-          const double expected = static_cast<double>(
-              s.done + (s.in_flight != kNoUnit ? 1 : 0) +
-              (s.units != nullptr ? s.units->size() : 0));
-          return s.spawned + std::max(per_unit * std::max(expected, 1.0),
-                                      config_.tail.hedge_min_delay);
-        };
-        while (outstanding > 0) {
-          // Hedge trigger: wake before the reply timeout when the oldest
-          // hedgeable leg crosses the observed leg-wall quantile. A leg is
-          // hedgeable once its remaining work is private (a shared-queue
-          // leg only after the shared deque drained — its in-flight unit
-          // is then all that is left of the stage on that node).
-          Seconds wait = config_.net.membership_timeout;
-          bool hedge_wake = false;
-          if (hedge_on) {
-            if (const auto delay = hedge_delay(sched::LegStage::kPr)) {
-              std::optional<Seconds> due;
-              for (const auto& sp : slots) {
-                const PrLegSlot& s = *sp;
-                if (s.reported || s.declared_dead || s.abandoned ||
-                    s.hedged || s.hedge_backup) {
-                  continue;
-                }
-                if (shared_queue &&
-                    (!shared_units->empty() || s.in_flight == kNoUnit)) {
-                  continue;
-                }
-                const Seconds at = hedge_due(s, *delay);
-                if (!due.has_value() || at < *due) due = at;
-              }
-              if (due.has_value() && *due - sim_.now() < wait) {
-                wait = std::max(*due - sim_.now(), 0.0);
-                hedge_wake = true;
-              }
-            }
-          }
-          const auto msg = co_await reports.recv_for(wait);
-          if (msg.has_value()) {
-            --outstanding;
-            PrLegSlot& s = *slots[*msg];
-            if (!s.unreachable) {
-              observe_leg(sched::LegStage::kPr, s.node, sim_.now() - s.spawned,
-                          static_cast<double>(s.done), s.hedge_backup);
-              resolve_hedge(*msg);
-              if (sharded && !host_dead()) {
-                // Partial merge: fold this shard leg's scored paragraphs
-                // into the host's merged candidate stream feeding
-                // Paragraph Ordering (the scatter-gather reduce step).
-                co_await nodes_[host]->cpu().consume(
-                    config_.shard.partial_merge_cpu *
-                    nodes_[host]->work_multiplier() *
-                    nodes_[host]->gray_cpu_factor());
-              }
-              continue;
-            }
-            // The leg burned its retry budget talking to its node: alive
-            // but cut off. Steer placement away from it, then either
-            // re-partition the work still parked in the slot over
-            // reachable survivors or — past the deadline budget — drop it
-            // and flag the answer degraded.
-            ins_.legs_unreachable->inc();
-            detector_.suspect_hint(s.node, sim_.now());
-            if (detector_placement_) table_.mark_stale(s.node);
-            record_trace(host, "N" + std::to_string(s.node + 1) +
-                                   " unreachable during PR");
-            // An unreachable backup drops out of its race without recovery:
-            // its units are copies, the primary still owns the work.
-            if (s.hedge_backup) continue;
-            if (host_dead()) continue;  // the whole question restarts
-            std::deque<std::size_t> lost;
-            if (s.in_flight != kNoUnit) {
-              lost.push_back(s.in_flight);
-              s.in_flight = kNoUnit;
-            }
-            if (!shared_queue) {
-              for (std::size_t u : *s.units) lost.push_back(u);
-              s.units->clear();
-            }
-            if (lost.empty()) continue;
-            if (deadline_exceeded(q)) {
-              q.degraded = true;
-              ins_.degraded_units_dropped->inc(
-                  static_cast<double>(lost.size()));
-              record_trace(host, "deadline spent: dropped " +
-                                     std::to_string(lost.size()) +
-                                     " collections (degraded)");
-              continue;
-            }
-            ins_.items_recovered->inc(static_cast<double>(lost.size()));
-            record_trace(host, "recovered " + std::to_string(lost.size()) +
-                                   " collections from unreachable N" +
-                                   std::to_string(s.node + 1));
-            if (sharded) {
-              // Failover to surviving replicas of each lost unit's shard
-              // (excluding the unreachable holder). Units whose shard has
-              // no other live ready holder are dropped: degraded.
-              const std::vector<std::size_t> lost_units(lost.begin(),
-                                                        lost.end());
-              auto assignment = assign_pr_units(lost_units, s.node);
-              for (auto& [node, block] : assignment.legs) {
-                spawn(node, std::make_shared<std::deque<std::size_t>>(
-                                std::move(block)));
-                ++outstanding;
-                ins_.recovery_legs->inc();
-              }
-              if (!assignment.unplaced.empty()) {
-                q.degraded = true;
-                ins_.degraded_units_dropped->inc(
-                    static_cast<double>(assignment.unplaced.size()));
-                ins_.shard_units_unserved->inc(
-                    static_cast<double>(assignment.unplaced.size()));
-                record_trace(host,
-                             "no surviving replica for " +
-                                 std::to_string(assignment.unplaced.size()) +
-                                 " collections (degraded)");
-              }
-              continue;
-            }
-            if (shared_queue) {
-              for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
-                shared_units->push_front(*it);
-              }
-              bool any_live = false;
-              for (const auto& sp : slots) {
-                // A backup leg drains a private copy, not the shared
-                // deque, so it cannot rescue requeued units.
-                if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                    !sp->hedge_backup) {
-                  any_live = true;
-                  break;
-                }
-              }
-              if (!any_live) {
-                spawn(pick_live(sched::kPrWeights), shared_units);
-                ++outstanding;
-                ins_.recovery_legs->inc();
-              }
-            } else {
-              std::vector<NodeId> survivors;
-              std::vector<double> weights;
-              for (std::size_t i = 0; i < pr_nodes.size(); ++i) {
-                if (pr_nodes[i] == s.node || !schedulable(pr_nodes[i])) {
-                  continue;
-                }
-                survivors.push_back(pr_nodes[i]);
-                weights.push_back(pr_weights[i]);
-              }
-              if (survivors.empty()) {
-                survivors.push_back(host);  // host is live and local
-                weights.push_back(1.0);
-              }
-              const auto parts =
-                  parallel::partition_send(lost.size(), weights);
-              for (const auto& p : parts) {
-                auto block = std::make_shared<std::deque<std::size_t>>();
-                for (std::size_t j : p.items) block->push_back(lost[j]);
-                spawn(survivors[p.worker], std::move(block));
-                ++outstanding;
-                ins_.recovery_legs->inc();
-              }
-            }
-            continue;
-          }
-          if (hedge_wake) {
-            // The shortened wait elapsed because a leg crossed the hedge
-            // trigger, not because replies went silent: issue backups for
-            // every due leg, then go back to waiting. Each leg is hedged
-            // (or declined — no placement available) at most once.
-            const auto delay = hedge_delay(sched::LegStage::kPr);
-            if (delay.has_value()) {
-              const std::size_t count = slots.size();
-              for (std::size_t i = 0; i < count; ++i) {
-                PrLegSlot& s = *slots[i];
-                if (s.reported || s.declared_dead || s.abandoned ||
-                    s.hedged || s.hedge_backup) {
-                  continue;
-                }
-                if (shared_queue &&
-                    (!shared_units->empty() || s.in_flight == kNoUnit)) {
-                  continue;
-                }
-                if (sim_.now() < hedge_due(s, *delay)) continue;
-                s.hedged = true;
-                // Snapshot of the primary's remaining work — what the
-                // backup re-runs. Private-queue legs only ever drain this
-                // set, so the backups cover the primary completely.
-                std::vector<std::size_t> snapshot;
-                if (s.in_flight != kNoUnit) snapshot.push_back(s.in_flight);
-                if (!shared_queue) {
-                  for (const std::size_t u : *s.units) snapshot.push_back(u);
-                }
-                if (snapshot.empty()) continue;
-                auto group = std::make_shared<HedgeGroup>();
-                group->members.push_back(i);
-                group->covered = snapshot;
-                if (sharded) {
-                  // Backups must be replica holders. Only hedge when the
-                  // whole snapshot is placeable off the primary — a partial
-                  // backup could not take over on a win.
-                  auto assignment = assign_pr_units(snapshot, s.node);
-                  if (!assignment.unplaced.empty() ||
-                      assignment.legs.empty()) {
-                    continue;
-                  }
-                  s.group = group;
-                  for (auto& [node, block] : assignment.legs) {
-                    spawn(node,
-                          std::make_shared<std::deque<std::size_t>>(
-                              std::move(block)),
-                          group, /*backup=*/true);
-                    group->members.push_back(slots.size() - 1);
-                    ++outstanding;
-                  }
-                } else {
-                  const auto backup_node =
-                      pick_backup(s.node, sched::kPrWeights,
-                                  sched::LegStage::kPr);
-                  if (!backup_node.has_value()) continue;
-                  s.group = group;
-                  spawn(*backup_node,
-                        std::make_shared<std::deque<std::size_t>>(
-                            snapshot.begin(), snapshot.end()),
-                        group, /*backup=*/true);
-                  group->members.push_back(slots.size() - 1);
-                  ++outstanding;
-                }
-                record_trace(host, "hedged PR leg on N" +
-                                       std::to_string(s.node + 1));
-              }
-            }
-            continue;
-          }
-          // Reply timeout: sweep the unreported legs for dead nodes. A
-          // sweep finds only legs whose node crashed after their spawn, so
-          // with no crash since the last one it would find nothing.
-          if (crash_count_ == swept_crashes) continue;
-          swept_crashes = crash_count_;
-          const bool host_down = host_dead();
-          std::size_t requeued = 0;
-          std::vector<std::pair<NodeId, std::deque<std::size_t>>> respawn;
-          for (const auto& sp : slots) {
-            PrLegSlot& s = *sp;
-            if (s.reported || s.declared_dead || s.abandoned) continue;
-            if (crash_epoch_[s.node] == s.epoch) continue;  // still alive
-            s.declared_dead = true;
-            --outstanding;
-            ins_.legs_lost->inc();
-            if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-              // The leg is a zombie and will never close its own span.
-              tracer_->end_span(s.leg_span, sim_.now(),
-                                {{"crashed", std::int64_t{1}}});
-              s.leg_span = obs::kNoSpan;
-            }
-            table_.remove(s.node);
-            record_trace(host, "lost contact with N" +
-                                   std::to_string(s.node + 1) + " during PR");
-            if (host_down) continue;  // the whole question restarts anyway
-            // A dead backup's units are copies; whoever it was backing up
-            // still owns the work — nothing to recover.
-            if (s.hedge_backup) continue;
-            std::deque<std::size_t> lost;
-            if (s.in_flight != kNoUnit) {
-              lost.push_back(s.in_flight);
-              s.in_flight = kNoUnit;
-            }
-            if (!shared_queue) {
-              for (std::size_t u : *s.units) lost.push_back(u);
-              s.units->clear();
-            }
-            if (lost.empty()) continue;
-            ins_.items_recovered->inc(static_cast<double>(lost.size()));
-            ins_.recovery_latency->observe(sim_.now() - crash_time_[s.node]);
-            record_trace(host, "recovered " + std::to_string(lost.size()) +
-                                   " collections from N" +
-                                   std::to_string(s.node + 1));
-            if (sharded) {
-              // Failover to surviving replicas (apply_crash already struck
-              // the dead holder from the map and kicked off background
-              // re-replication; retrieval needs only what's ready now).
-              const std::vector<std::size_t> lost_units(lost.begin(),
-                                                        lost.end());
-              auto assignment = assign_pr_units(lost_units, s.node);
-              for (auto& leg : assignment.legs) {
-                respawn.push_back(std::move(leg));
-              }
-              if (!assignment.unplaced.empty()) {
-                q.degraded = true;
-                ins_.degraded_units_dropped->inc(
-                    static_cast<double>(assignment.unplaced.size()));
-                ins_.shard_units_unserved->inc(
-                    static_cast<double>(assignment.unplaced.size()));
-                record_trace(host,
-                             "no surviving replica for " +
-                                 std::to_string(assignment.unplaced.size()) +
-                                 " collections (degraded)");
-              }
-              continue;
-            }
-            if (shared_queue) {
-              // Requeue at the front: surviving legs pick the units up the
-              // next time they hit the deque.
-              for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
-                shared_units->push_front(*it);
-              }
-              requeued += lost.size();
-            } else {
-              // Re-partition the dead leg's block over the surviving stage
-              // nodes (their original weights).
-              std::vector<NodeId> survivors;
-              std::vector<double> weights;
-              for (std::size_t i = 0; i < pr_nodes.size(); ++i) {
-                if (!schedulable(pr_nodes[i])) continue;
-                survivors.push_back(pr_nodes[i]);
-                weights.push_back(pr_weights[i]);
-              }
-              if (survivors.empty()) {
-                survivors.push_back(host);  // host is live: !host_down
-                weights.push_back(1.0);
-              }
-              const auto parts =
-                  parallel::partition_send(lost.size(), weights);
-              for (const auto& p : parts) {
-                std::deque<std::size_t> block;
-                for (std::size_t j : p.items) block.push_back(lost[j]);
-                respawn.emplace_back(survivors[p.worker], std::move(block));
-              }
-            }
-          }
-          for (auto& [node, block] : respawn) {
-            spawn(node, std::make_shared<std::deque<std::size_t>>(
-                            std::move(block)));
-            ++outstanding;
-            ins_.recovery_legs->inc();
-          }
-          if (requeued > 0) {
-            // If no surviving leg is still draining the shared deque, the
-            // requeued units would be stranded: spawn a recovery leg.
-            bool any_live = false;
-            for (const auto& sp : slots) {
-              if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                  !sp->hedge_backup) {
-                any_live = true;
-                break;
-              }
-            }
-            if (!any_live) {
-              spawn(pick_live(sched::kPrWeights), shared_units);
-              ++outstanding;
-              ins_.recovery_legs->inc();
-            }
-          }
-        }
+        PrStage stage(*this, q, reports, host, host_epoch, pr_span,
+                      std::move(pr), sharded);
+        stage.place(sel.units);
+        co_await supervise(stage);
       }
       q.t_pr_stage = sim_.now() - pr_start;
       if (pr_span != obs::kNoSpan) tracer_->end_span(pr_span, sim_.now());
@@ -3090,9 +2982,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       if (tracer_ != nullptr) {
         sp = tracer_->begin_span(t0, "PO", host, q_track, q_span, {});
       }
-      co_await nodes_[host]->cpu().consume(plan.po.cpu_seconds *
-                                           nodes_[host]->work_multiplier() *
-                                           nodes_[host]->gray_cpu_factor());
+      co_await nodes_[host]->compute(plan.po.cpu_seconds);
       failed = host_dead();
       q.t_po = sim_.now() - t0;
       if (sp != obs::kNoSpan) tracer_->end_span(sp, sim_.now());
@@ -3109,424 +2999,26 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       // ensure_selection call) was skipped: AP still processes only the
       // candidates the selected sub-collections would have produced.
       ensure_selection();
-      std::vector<NodeId> ap_nodes{host};
-      std::vector<double> ap_weights{1.0};
-      // Same empty-pool guard as the PR dispatcher above.
-      if (config_.dispatch.policy == Policy::kDqa && table_.size() > 0) {
-        auto ms = sched::meta_schedule(table_, sched::kApWeights,
-                                       config_.dispatch.ap_underload_threshold,
-                                       &registry_,
-                                       straggler_mask(sched::LegStage::kAp));
-        std::vector<NodeId> live_sel;
-        std::vector<double> live_w;
-        for (std::size_t i = 0; i < ms.selected.size(); ++i) {
-          if (!schedulable(ms.selected[i])) continue;
-          live_sel.push_back(ms.selected[i]);
-          live_w.push_back(ms.weights[i]);
-        }
-        ms.selected = std::move(live_sel);
-        ms.weights = std::move(live_w);
-        if (ms.selected.empty()) {
-          ms.selected = {host};
-          ms.weights = {1.0};
-        }
-        if (!config_.partition.enable && ms.selected.size() > 1) {
-          const std::size_t best = static_cast<std::size_t>(
-              std::max_element(ms.weights.begin(), ms.weights.end()) -
-              ms.weights.begin());
-          ms.selected = {ms.selected[best]};
-          ms.weights = {1.0};
-          ms.partitioned = false;
-        }
-        if (!(ms.selected.size() == 1 && ms.selected[0] == host)) {
-          ins_.migrations_ap->inc();
-        }
-        ap_nodes = std::move(ms.selected);
-        ap_weights = std::move(ms.weights);
-      }
+      StagePlacement ap =
+          place_stage(host, sched::kApWeights,
+                      config_.dispatch.ap_underload_threshold,
+                      sched::LegStage::kAp, *ins_.migrations_ap);
 
-      // ---- AP stage with supervision. Recovery granularity follows the
-      // answer path: RECV loses only the in-flight chunk (requeued on the
-      // shared deque); SEND/ISEND lose the whole partition (answers ship
-      // once at the end), which is re-partitioned over the survivors.
+      // ---- AP stage with supervision (see supervise and ApStage).
       const Seconds ap_start = sim_.now();
       obs::SpanId ap_span = obs::kNoSpan;
       if (tracer_ != nullptr) {
         ap_span = tracer_->begin_span(
             ap_start, "AP", host, q_track, q_span,
-            {{"legs", static_cast<std::int64_t>(ap_nodes.size())},
+            {{"legs", static_cast<std::int64_t>(ap.nodes.size())},
              {"paragraphs", static_cast<std::int64_t>(ap_count)}});
       }
       {
         simnet::Mailbox<std::size_t> reports(sim_);
-        std::vector<std::shared_ptr<ApLegSlot>> slots;
-        std::uint64_t swept_crashes = crash_count_;
-        const auto spawn =
-            [&](NodeId node, std::vector<std::size_t> units,
-                std::shared_ptr<std::deque<parallel::Chunk>> chunks,
-                std::shared_ptr<HedgeGroup> group = nullptr,
-                bool backup = false) {
-              auto slot = std::make_shared<ApLegSlot>();
-              slot->node = node;
-              slot->epoch = crash_epoch_[node];
-              slot->units = std::move(units);
-              slot->chunks = std::move(chunks);
-              slot->stage_span = ap_span;
-              slot->spawned = sim_.now();
-              slot->group = std::move(group);
-              slot->hedge_backup = backup;
-              (backup ? ins_.hedges_issued : ins_.legs_spawned)->inc();
-              slots.push_back(slot);
-              ap_leg(q, slot, slots.size() - 1, reports);
-            };
-        const bool shared_queue =
-            config_.partition.ap_strategy == Strategy::kRecv || ap_nodes.size() == 1;
-        std::shared_ptr<std::deque<parallel::Chunk>> shared_chunks;
-        if (shared_queue) {
-          shared_chunks = std::make_shared<std::deque<parallel::Chunk>>();
-          for (const auto& c :
-               parallel::make_chunks(ap_count, config_.partition.ap_chunk)) {
-            shared_chunks->push_back(c);
-          }
-          for (NodeId node : ap_nodes) spawn(node, {}, shared_chunks);
-        } else {
-          const auto partitions =
-              config_.partition.ap_strategy == Strategy::kIsend
-                  ? parallel::partition_isend(ap_count, ap_weights)
-                  : parallel::partition_send(ap_count, ap_weights);
-          for (const auto& p : partitions) {
-            spawn(ap_nodes[p.worker], p.items, nullptr);
-          }
-        }
-
-        std::size_t outstanding = slots.size();
-        const bool hedge_on = config_.tail.hedge;
-        // Hedge-race settlement — the AP twin of the PR resolve_hedge; the
-        // only structural difference is the covered work unit (an in-flight
-        // RECV chunk instead of PR sub-collections).
-        const auto resolve_hedge = [&](std::size_t winner) {
-          ApLegSlot& w = *slots[winner];
-          if (w.group == nullptr || w.group->resolved) return;
-          const auto group = w.group;
-          group->resolved = true;
-          (w.hedge_backup ? ins_.hedge_wins : ins_.hedge_losses)->inc();
-          bool requeued = false;
-          for (const std::size_t m : group->members) {
-            if (m == winner) continue;
-            ApLegSlot& s = *slots[m];
-            if (s.reported || s.declared_dead || s.abandoned) continue;
-            s.abandoned = true;
-            --outstanding;
-            if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-              tracer_->end_span(
-                  s.leg_span, sim_.now(),
-                  {{"hedge_loser", std::int64_t{1}},
-                   {"cancelled", std::int64_t{config_.tail.tied ? 1 : 0}}});
-              s.leg_span = obs::kNoSpan;
-            }
-            if (config_.tail.tied && s.busy_server != nullptr) {
-              if (s.busy_server->cancel(s.busy_handle)) {
-                ins_.legs_cancelled->inc();
-              }
-              s.busy_server = nullptr;
-            }
-            if (!s.hedge_backup && s.has_in_flight &&
-                !(group->has_covered_chunk &&
-                  s.in_flight.begin == group->covered_chunk.begin &&
-                  s.in_flight.end == group->covered_chunk.end)) {
-              // The primary moved on to a chunk nobody covers: requeue it.
-              if (shared_chunks != nullptr) {
-                shared_chunks->push_front(s.in_flight);
-                requeued = true;
-              }
-            }
-            s.has_in_flight = false;
-          }
-          if (requeued) {
-            bool any_live = false;
-            for (const auto& sp : slots) {
-              if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                  !sp->hedge_backup) {
-                any_live = true;
-                break;
-              }
-            }
-            if (!any_live) {
-              spawn(pick_live(sched::kApWeights), {}, shared_chunks);
-              ++outstanding;
-              ins_.recovery_legs->inc();
-            }
-          }
-        };
-        // Per-unit due time — the AP analogue of the PR loop's hedge_due.
-        // RECV legs carry done paragraphs plus the in-flight chunk; a
-        // SEND/ISEND partition is fixed, so its size alone is the load
-        // (done already counts within it).
-        const auto hedge_due = [&](const ApLegSlot& s, Seconds per_unit) {
-          const double expected =
-              shared_queue
-                  ? static_cast<double>(
-                        s.done + (s.has_in_flight ? s.in_flight.size() : 0))
-                  : static_cast<double>(s.units.size());
-          return s.spawned + std::max(per_unit * std::max(expected, 1.0),
-                                      config_.tail.hedge_min_delay);
-        };
-        while (outstanding > 0) {
-          // Hedge trigger — see the PR loop for the protocol.
-          Seconds wait = config_.net.membership_timeout;
-          bool hedge_wake = false;
-          if (hedge_on) {
-            if (const auto delay = hedge_delay(sched::LegStage::kAp)) {
-              std::optional<Seconds> due;
-              for (const auto& sp : slots) {
-                const ApLegSlot& s = *sp;
-                if (s.reported || s.declared_dead || s.abandoned ||
-                    s.hedged || s.hedge_backup) {
-                  continue;
-                }
-                if (shared_queue) {
-                  if (!shared_chunks->empty() || !s.has_in_flight) continue;
-                } else if (s.units.empty()) {
-                  continue;
-                }
-                const Seconds at = hedge_due(s, *delay);
-                if (!due.has_value() || at < *due) due = at;
-              }
-              if (due.has_value() && *due - sim_.now() < wait) {
-                wait = std::max(*due - sim_.now(), 0.0);
-                hedge_wake = true;
-              }
-            }
-          }
-          const auto msg = co_await reports.recv_for(wait);
-          if (msg.has_value()) {
-            --outstanding;
-            ApLegSlot& s = *slots[*msg];
-            if (!s.unreachable) {
-              observe_leg(sched::LegStage::kAp, s.node, sim_.now() - s.spawned,
-                          static_cast<double>(s.done), s.hedge_backup);
-              resolve_hedge(*msg);
-              continue;
-            }
-            // Unreachable leg: same decision as in PR — recover the
-            // stranded paragraphs over reachable survivors, or drop them
-            // once the deadline budget is spent.
-            ins_.legs_unreachable->inc();
-            detector_.suspect_hint(s.node, sim_.now());
-            if (detector_placement_) table_.mark_stale(s.node);
-            record_trace(host, "N" + std::to_string(s.node + 1) +
-                                   " unreachable during AP");
-            // An unreachable backup drops out of its race without
-            // recovery: its paragraphs are copies the primary still owns.
-            if (s.hedge_backup) continue;
-            if (host_dead()) continue;
-            std::vector<std::size_t> lost;
-            std::size_t lost_count = 0;
-            if (s.chunks != nullptr) {
-              if (s.has_in_flight) lost_count = s.in_flight.size();
-            } else {
-              lost = std::move(s.units);
-              s.units.clear();
-              lost_count = lost.size();
-            }
-            if (lost_count == 0) continue;
-            if (deadline_exceeded(q)) {
-              q.degraded = true;
-              s.has_in_flight = false;  // RECV: the chunk dies with the leg
-              ins_.degraded_units_dropped->inc(
-                  static_cast<double>(lost_count));
-              record_trace(host, "deadline spent: dropped " +
-                                     std::to_string(lost_count) +
-                                     " paragraphs (degraded)");
-              continue;
-            }
-            ins_.items_recovered->inc(static_cast<double>(lost_count));
-            record_trace(host, "recovered " + std::to_string(lost_count) +
-                                   " paragraphs from unreachable N" +
-                                   std::to_string(s.node + 1));
-            if (s.chunks != nullptr) {
-              s.chunks->push_front(s.in_flight);
-              s.has_in_flight = false;
-              bool any_live = false;
-              for (const auto& sp : slots) {
-                if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                    !sp->hedge_backup) {
-                  any_live = true;
-                  break;
-                }
-              }
-              if (!any_live) {
-                spawn(pick_live(sched::kApWeights), {}, shared_chunks);
-                ++outstanding;
-                ins_.recovery_legs->inc();
-              }
-            } else {
-              std::vector<NodeId> survivors;
-              std::vector<double> weights;
-              for (std::size_t i = 0; i < ap_nodes.size(); ++i) {
-                if (ap_nodes[i] == s.node || !schedulable(ap_nodes[i])) {
-                  continue;
-                }
-                survivors.push_back(ap_nodes[i]);
-                weights.push_back(ap_weights[i]);
-              }
-              if (survivors.empty()) {
-                survivors.push_back(host);
-                weights.push_back(1.0);
-              }
-              const auto parts =
-                  config_.partition.ap_strategy == Strategy::kIsend
-                      ? parallel::partition_isend(lost.size(), weights)
-                      : parallel::partition_send(lost.size(), weights);
-              for (const auto& p : parts) {
-                std::vector<std::size_t> block;
-                block.reserve(p.items.size());
-                for (std::size_t j : p.items) block.push_back(lost[j]);
-                spawn(survivors[p.worker], std::move(block), nullptr);
-                ++outstanding;
-                ins_.recovery_legs->inc();
-              }
-            }
-            continue;
-          }
-          if (hedge_wake) {
-            // Timed out at a hedge trigger: issue backups for the due legs.
-            // Not a failure signal, so skip the crash sweep below.
-            for (std::size_t i = 0; i < slots.size(); ++i) {
-              ApLegSlot& s = *slots[i];
-              if (s.reported || s.declared_dead || s.abandoned || s.hedged ||
-                  s.hedge_backup) {
-                continue;
-              }
-              if (shared_queue) {
-                if (!shared_chunks->empty() || !s.has_in_flight) continue;
-              } else if (s.units.empty()) {
-                continue;
-              }
-              const auto delay = hedge_delay(sched::LegStage::kAp);
-              if (!delay.has_value() || sim_.now() < hedge_due(s, *delay)) {
-                continue;
-              }
-              s.hedged = true;  // one hedge per leg, even if declined
-              std::vector<std::size_t> snapshot;
-              auto group = std::make_shared<HedgeGroup>();
-              if (shared_queue) {
-                // The backup re-ships the in-flight chunk as a fixed
-                // partition of its own; the chunk ids identify coverage.
-                snapshot.reserve(s.in_flight.size());
-                for (std::size_t u = s.in_flight.begin; u < s.in_flight.end;
-                     ++u) {
-                  snapshot.push_back(u);
-                }
-                group->covered_chunk = s.in_flight;
-                group->has_covered_chunk = true;
-              } else {
-                snapshot = s.units;
-              }
-              if (snapshot.empty()) continue;
-              const auto backup_node =
-                  pick_backup(s.node, sched::kApWeights, sched::LegStage::kAp);
-              if (!backup_node.has_value()) continue;
-              group->members.push_back(i);
-              s.group = group;
-              spawn(*backup_node, std::move(snapshot), nullptr, group, true);
-              group->members.push_back(slots.size() - 1);
-              ++outstanding;
-              record_trace(host,
-                           "hedged AP leg on N" + std::to_string(s.node + 1));
-            }
-            continue;
-          }
-          // Reply timeout: sweep for dead nodes.
-          if (crash_count_ == swept_crashes) continue;  // see the PR loop
-          swept_crashes = crash_count_;
-          const bool host_down = host_dead();
-          std::size_t requeued = 0;
-          std::vector<std::pair<NodeId, std::vector<std::size_t>>> respawn;
-          for (const auto& sp : slots) {
-            ApLegSlot& s = *sp;
-            if (s.reported || s.declared_dead || s.abandoned) continue;
-            if (crash_epoch_[s.node] == s.epoch) continue;  // still alive
-            s.declared_dead = true;
-            --outstanding;
-            ins_.legs_lost->inc();
-            if (tracer_ != nullptr && s.leg_span != obs::kNoSpan) {
-              tracer_->end_span(s.leg_span, sim_.now(),
-                                {{"crashed", std::int64_t{1}}});
-              s.leg_span = obs::kNoSpan;
-            }
-            table_.remove(s.node);
-            record_trace(host, "lost contact with N" +
-                                   std::to_string(s.node + 1) + " during AP");
-            if (host_down) continue;
-            // A crashed backup needs no recovery: it held copies of
-            // paragraphs the primary is still processing.
-            if (s.hedge_backup) continue;
-            if (s.chunks != nullptr) {
-              if (!s.has_in_flight) continue;
-              s.chunks->push_front(s.in_flight);
-              s.has_in_flight = false;
-              requeued += s.in_flight.size();
-              ins_.items_recovered->inc(
-                  static_cast<double>(s.in_flight.size()));
-              ins_.recovery_latency->observe(sim_.now() - crash_time_[s.node]);
-              record_trace(host, "requeued chunk of " +
-                                     std::to_string(s.in_flight.size()) +
-                                     " paragraphs from N" +
-                                     std::to_string(s.node + 1));
-            } else {
-              std::vector<std::size_t> lost = std::move(s.units);
-              s.units.clear();
-              if (lost.empty()) continue;
-              ins_.items_recovered->inc(static_cast<double>(lost.size()));
-              ins_.recovery_latency->observe(sim_.now() - crash_time_[s.node]);
-              record_trace(host, "recovered " + std::to_string(lost.size()) +
-                                     " paragraphs from N" +
-                                     std::to_string(s.node + 1));
-              std::vector<NodeId> survivors;
-              std::vector<double> weights;
-              for (std::size_t i = 0; i < ap_nodes.size(); ++i) {
-                if (!schedulable(ap_nodes[i])) continue;
-                survivors.push_back(ap_nodes[i]);
-                weights.push_back(ap_weights[i]);
-              }
-              if (survivors.empty()) {
-                survivors.push_back(host);
-                weights.push_back(1.0);
-              }
-              const auto parts =
-                  config_.partition.ap_strategy == Strategy::kIsend
-                      ? parallel::partition_isend(lost.size(), weights)
-                      : parallel::partition_send(lost.size(), weights);
-              for (const auto& p : parts) {
-                std::vector<std::size_t> block;
-                block.reserve(p.items.size());
-                for (std::size_t j : p.items) block.push_back(lost[j]);
-                respawn.emplace_back(survivors[p.worker], std::move(block));
-              }
-            }
-          }
-          for (auto& [node, block] : respawn) {
-            spawn(node, std::move(block), nullptr);
-            ++outstanding;
-            ins_.recovery_legs->inc();
-          }
-          if (requeued > 0) {
-            bool any_live = false;
-            for (const auto& sp : slots) {
-              if (!sp->reported && !sp->declared_dead && !sp->abandoned &&
-                  !sp->hedge_backup) {
-                any_live = true;
-                break;
-              }
-            }
-            if (!any_live) {
-              spawn(pick_live(sched::kApWeights), {}, shared_chunks);
-              ++outstanding;
-              ins_.recovery_legs->inc();
-            }
-          }
-        }
+        ApStage stage(*this, q, reports, host, host_epoch, ap_span,
+                      std::move(ap));
+        stage.place_legs(ap_count, config_.partition.ap_chunk);
+        co_await supervise(stage);
       }
       q.t_ap_stage = sim_.now() - ap_start;
       if (ap_span != obs::kNoSpan) tracer_->end_span(ap_span, sim_.now());
@@ -3536,9 +3028,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // ---- Answer merging + sorting (host).
     if (!failed) {
       const Seconds t0 = sim_.now();
-      co_await nodes_[host]->cpu().consume(plan.answer_sort.cpu_seconds *
-                                           nodes_[host]->work_multiplier() *
-                                           nodes_[host]->gray_cpu_factor());
+      co_await nodes_[host]->compute(plan.answer_sort.cpu_seconds);
       failed = host_dead();
       q.oh_answer_sort = sim_.now() - t0;
     }

@@ -411,11 +411,19 @@ class System {
 
  private:
   struct QuestionState;  // per-question bookkeeping (defined in .cpp)
-  struct PrLegSlot;      // coordinator/leg shared state (defined in .cpp)
-  struct ApLegSlot;
-  struct BrokerSlot;     // broker-tier leg shared state (defined in .cpp)
+  struct LegSlot;        // coordinator/leg shared state (defined in .cpp)
+  struct WorkerSlot;     // ... of a PR or AP worker leg
+  struct BrokerSlot;     // ... of a broker-tier leg
   struct HedgeGroup;     // one hedge race: primary + backups (defined in .cpp)
   struct NodeCaches;     // per-node answer/paragraph caches (defined in .cpp)
+  // Fork-join stages under supervise() (defined in .cpp): the supervision
+  // state plus the hooks each stage supplies, and the four stages.
+  struct FanOut;
+  struct WorkerStage;      // host-coordinated PR/AP base
+  struct PrStage;          // flat PR: RECV deque, SEND blocks or replicas
+  struct ApStage;          // AP: RECV chunks, SEND/ISEND partitions
+  struct BrokerStage;      // brokered PR on the host: one leg per group
+  struct GroupStage;       // a broker's in-group PR workers
 
   simnet::SimProcess monitor_process(Node& node);
   simnet::SimProcess fault_process();
@@ -455,6 +463,31 @@ class System {
   simnet::SimProcess revalidate_process(sched::NodeId node,
                                         std::size_t epoch);
 
+  /// The fork-join supervisor shared by every stage (PR, AP, the broker
+  /// tier's host and in-group levels): waits on the stage's legs with a
+  /// reply timeout, settles reports (first reply wins a hedge race),
+  /// recovers work from unreachable legs or degrades it past the deadline,
+  /// sweeps for crashed legs, issues hedge backups, and rescues a stranded
+  /// shared queue. Everything stage-specific goes through FanOut's hooks.
+  /// Resolves true once every leg is accounted for, false as soon as the
+  /// coordinator itself turned zombie (a crashed or abandoned broker).
+  simnet::Task<bool> supervise(FanOut& stage);
+
+  /// The embedded PR/AP dispatcher (DQA only, paper Eq. 7-8): the nodes a
+  /// stage runs on and their partition weights. Meta-schedules over the
+  /// pool, drops nodes placement may not target, collapses to the heaviest
+  /// node when partitioning is disabled, and counts `migrations` when the
+  /// stage leaves the host. The host alone under other policies.
+  struct StagePlacement {
+    std::vector<sched::NodeId> nodes;
+    std::vector<double> weights;
+  };
+  [[nodiscard]] StagePlacement place_stage(sched::NodeId host,
+                                           const sched::LoadWeights& weights,
+                                           double underload_threshold,
+                                           sched::LegStage stage,
+                                           obs::Counter& migrations);
+
   // Stage legs. Each leg shares a slot with its coordinator (pending and
   // in-flight work, completion flag) and reports its slot index on the
   // stage mailbox when done. A leg whose node crashes reports nothing:
@@ -463,11 +496,13 @@ class System {
   // `relay` is the node the leg talks to — the question host in the flat
   // star, the group's broker under the broker tier (keywords arrive from
   // it, result bytes ship back to it, and it pays the receive disk).
-  simnet::SimProcess pr_leg(QuestionState& q, std::shared_ptr<PrLegSlot> slot,
+  simnet::SimProcess pr_leg(QuestionState& q,
+                            std::shared_ptr<WorkerSlot> slot,
                             std::size_t index,
                             simnet::Mailbox<std::size_t>& reports,
                             sched::NodeId relay);
-  simnet::SimProcess ap_leg(QuestionState& q, std::shared_ptr<ApLegSlot> slot,
+  simnet::SimProcess ap_leg(QuestionState& q,
+                            std::shared_ptr<WorkerSlot> slot,
                             std::size_t index,
                             simnet::Mailbox<std::size_t>& reports);
   /// Broker-tier PR leg: ships the keywords to the group's broker, which
@@ -510,7 +545,15 @@ class System {
   /// node when the table is momentarily empty. A live node always exists
   /// (apply_crash never takes down the last one). Prefers unsuspected
   /// nodes when the detector drives placement.
-  [[nodiscard]] sched::NodeId pick_live(const sched::LoadWeights& weights) const;
+  [[nodiscard]] sched::NodeId pick_live(
+      const sched::LoadWeights& weights) const;
+  /// Least-loaded non-crashed pool member other than `exclude`, preferring
+  /// unsuspected members and members `stragglers` does not flag (hedge
+  /// backups pass the stage's straggler mask); nullopt on an empty pool.
+  [[nodiscard]] std::optional<sched::NodeId> least_loaded(
+      const sched::LoadWeights& weights,
+      std::optional<sched::NodeId> exclude = std::nullopt,
+      std::span<const char> stragglers = {}) const;
 
   /// Rendezvous pick over the currently live pool members (the affinity
   /// dispatch target); nullopt when no live member is known yet.
@@ -523,7 +566,7 @@ class System {
   /// shard has no schedulable ready holder land in `unplaced` — the
   /// question degrades by that much work.
   struct ShardAssignment {
-    std::vector<std::pair<sched::NodeId, std::deque<std::size_t>>> legs;
+    std::vector<std::pair<sched::NodeId, std::vector<std::size_t>>> legs;
     std::vector<std::size_t> unplaced;
   };
   [[nodiscard]] ShardAssignment assign_pr_units(
@@ -572,8 +615,8 @@ class System {
   void observe_leg(sched::LegStage stage, sched::NodeId node, Seconds wall,
                    double units, bool backup = false);
   /// Current per-unit hedge trigger for a stage: the configured quantile
-  /// of this run's observed per-unit leg walls. The supervision loops
-  /// scale it by each leg's unit count (and floor the product with
+  /// of this run's observed per-unit leg walls. The supervisor scales it
+  /// by each leg's unit count (and floors the product with
   /// hedge_min_delay) to get that leg's due time; nullopt until
   /// hedge_min_samples legs have completed.
   [[nodiscard]] std::optional<Seconds> hedge_delay(
@@ -674,9 +717,9 @@ class System {
   std::vector<char> node_broadcasting_;  // membership: monitor active?
   std::vector<char> node_crashed_;       // fault state: node currently down?
   std::vector<std::size_t> crash_epoch_;  // bumped per crash (zombie detection)
-  /// Crashes so far (the sum of crash_epoch_): a leg supervision loop
-  /// whose last reply-timeout sweep saw the same count has no crashed leg
-  /// to find.
+  /// Crashes so far (the sum of crash_epoch_): a supervised stage whose
+  /// last reply-timeout sweep saw the same count has no crashed leg to
+  /// find.
   std::uint64_t crash_count_ = 0;
   std::vector<Seconds> crash_time_;       // last crash time per node
   std::unique_ptr<simnet::Link> network_;

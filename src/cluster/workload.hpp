@@ -22,13 +22,13 @@ namespace qadist::cluster {
 void apply_bimodal_mix(std::span<QuestionPlan> plans,
                        double light_scale = 48.0 / 94.0);
 
-/// High-load protocol (paper Sec. 6.1): submits `count` questions drawn
-/// from `plans` (deterministically in `seed`) with inter-arrival gaps
-/// uniform in [0, 2·g], where the mean gap g sustains arrivals at
-/// `overload_factor` times the system's aggregate service rate. The same
-/// seed produces the same question sequence and arrival times for every
-/// policy — "the same questions and the same startup sequence for all
-/// tests".
+/// High-load protocol (paper Sec. 6.1), driven by workload::Driver: submits
+/// `count` questions drawn from a plan set (deterministically in `seed`)
+/// with inter-arrival gaps uniform in [0, 2·g], where the mean gap g
+/// sustains arrivals at `overload_factor` times the system's aggregate
+/// service rate. The same seed produces the same question sequence and
+/// arrival times for every policy — "the same questions and the same
+/// startup sequence for all tests".
 struct OverloadWorkload {
   std::size_t count = 0;                 ///< 0 = 8 x nodes (the paper's 8N)
   double overload_factor = 2.0;
@@ -46,7 +46,7 @@ struct OverloadWorkload {
   std::size_t distinct_questions = 0;  ///< 0 = all plans are candidates
 };
 
-/// The plan indices submit_overload will submit, in order — the pick
+/// The plan indices the overload protocol submits, in order — the pick
 /// sequence is pure in (workload, plan_count, count), which is what makes
 /// cache-hit sequences reproducible across runs and policies. Exposed for
 /// tests and benches that need to know the question stream (e.g. to
@@ -55,16 +55,10 @@ struct OverloadWorkload {
     const OverloadWorkload& workload, std::size_t plan_count,
     std::size_t count);
 
-/// Compatibility shim over workload::Driver (RunSpec shape kOverload):
-/// same pick sequence and arrival instants, bit for bit. New code should
-/// use the Driver directly — it also covers the serial and open-loop
-/// protocols and can run the whole experiment in one call.
-void submit_overload(System& system, std::span<const QuestionPlan> plans,
-                     const OverloadWorkload& workload);
-
-/// Low-load protocol (paper Sec. 6.2): `count` questions submitted one at
-/// a time, with gaps long enough that the system fully drains between
-/// them ("questions were executed one at a time"). `stride`/`offset`
+/// Low-load protocol (paper Sec. 6.2), driven by workload::Driver: `count`
+/// questions submitted one at a time, with gaps long enough that the
+/// system fully drains between them ("questions were executed one at a
+/// time"). `stride`/`offset`
 /// select which plans are used (the benches use odd indices to stay on
 /// the unscaled TREC-9-like population).
 struct SerialWorkload {
@@ -73,9 +67,5 @@ struct SerialWorkload {
   std::size_t offset = 0;
   Bandwidth reference_disk = Bandwidth::from_mbps(250);
 };
-
-/// Compatibility shim over workload::Driver (RunSpec shape kSerial).
-void submit_serial(System& system, std::span<const QuestionPlan> plans,
-                   const SerialWorkload& workload);
 
 }  // namespace qadist::cluster

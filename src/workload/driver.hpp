@@ -40,13 +40,11 @@ struct RunResult {
   cluster::Metrics metrics;   ///< end-of-run registry snapshot
 };
 
-/// The front door for driving a System through a workload. The three
-/// legacy protocols (cluster::submit_overload, cluster::submit_serial,
-/// submit_stream over arrival_stream) are one API here: build a Driver
-/// over the system and its plan set, describe the traffic in a RunSpec,
-/// and run(). The pick sequences and arrival instants are bit-identical
-/// to the legacy free functions at the same parameters — those functions
-/// are now thin wrappers over this class, kept for compatibility.
+/// The front door for driving a System through a workload. The paper's
+/// two protocols and the open-loop arrival streams are one API here:
+/// build a Driver over the system and its plan set, describe the traffic
+/// in a RunSpec, and run(). The open-loop shape submits exactly what
+/// submit_stream over arrival_stream would.
 class Driver {
  public:
   Driver(cluster::System& system,

@@ -16,6 +16,7 @@
 #include "cluster/workload.hpp"
 #include "simnet/simulation.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -46,7 +47,9 @@ const std::vector<QuestionPlan>& plans() {
 void submit_small_workload(System& system) {
   OverloadWorkload workload;
   workload.count = 4;
-  submit_overload(system, plans(), workload);
+  qadist::workload::RunSpec spec;
+  spec.overload = workload;
+  qadist::workload::Driver(system, plans()).submit(spec);
 }
 
 SystemConfig base_config() {

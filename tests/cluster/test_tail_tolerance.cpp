@@ -19,6 +19,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -69,7 +70,9 @@ GoldenRun golden_scenario(bool sharded) {
   OverloadWorkload workload;
   workload.count = 24;
   workload.seed = 5;
-  submit_overload(system, plans(), workload);
+  qadist::workload::RunSpec spec;
+  spec.overload = workload;
+  qadist::workload::Driver(system, plans()).submit(spec);
 
   GoldenRun out;
   out.metrics = system.run();
@@ -162,7 +165,9 @@ TailRun tail_scenario(
   workload.count = 48;
   workload.overload_factor = 0.6;  // moderate: tails come from the gray node
   workload.seed = 5;
-  submit_overload(system, plans(), workload);
+  qadist::workload::RunSpec spec;
+  spec.overload = workload;
+  qadist::workload::Driver(system, plans()).submit(spec);
 
   TailRun out;
   out.metrics = system.run();
@@ -280,7 +285,9 @@ TEST(GrayFaultTest, RecoveryWindowClosesAndCounts) {
   OverloadWorkload workload;
   workload.count = 12;
   workload.seed = 3;
-  submit_overload(system, plans(), workload);
+  qadist::workload::RunSpec spec;
+  spec.overload = workload;
+  qadist::workload::Driver(system, plans()).submit(spec);
   const Metrics m = system.run();
   EXPECT_EQ(m.completed, 12u);
   EXPECT_EQ(m.gray_onsets, 1u);

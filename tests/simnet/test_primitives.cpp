@@ -303,6 +303,7 @@ TEST(ResourceTest, LeaseResetReleasesEarly) {
   }(sim, res);
   sim.run_until(2.0);
   EXPECT_EQ(res.available(), 1);
+  sim.run();  // let the process finish, so its frame is freed
 }
 
 TEST(ResourceTest, LeaseMoveTransfersOwnership) {
