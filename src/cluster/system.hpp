@@ -167,7 +167,6 @@ struct PartitionConfig {
   /// processing cost varies too widely for weight-based partitioning) or
   /// kSend (the ablation). kIsend is rejected: collections are unranked.
   parallel::Strategy pr_strategy = parallel::Strategy::kRecv;
-  std::size_t pr_chunk = 1;  ///< sub-collections per RECV chunk
 
   /// AP partitioning strategy: any of the three.
   parallel::Strategy ap_strategy = parallel::Strategy::kRecv;

@@ -79,7 +79,6 @@ INSTANTIATE_TEST_SUITE_P(Strategies, FaultPerStrategy,
 TEST(FaultRecoveryTest, PrSendStrategySurvivesCrashes) {
   auto cfg = config(4);
   cfg.partition.pr_strategy = Strategy::kSend;
-  cfg.partition.pr_chunk = 1;
   const auto metrics = run_with_worker_crashes(cfg);
   EXPECT_EQ(metrics.completed, 12u);
   EXPECT_EQ(metrics.crashes, 2u);

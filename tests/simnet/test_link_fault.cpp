@@ -21,13 +21,18 @@ TEST(LinkFaultPlanTest, DefaultPlanIsDisabled) {
 }
 
 TEST(LinkFaultPlanTest, MalformedPlansPanic) {
-  EXPECT_DEATH(LinkFaultInjector(LinkFaultPlan{.drop_probability = 1.5}, 1),
-               "");
-  EXPECT_DEATH(LinkFaultInjector(LinkFaultPlan{.duplicate_probability = -0.1},
-                                 1),
-               "");
   EXPECT_DEATH(
-      LinkFaultInjector(LinkFaultPlan{.jitter_min = 0.5, .jitter_max = 0.1},
+      LinkFaultInjector(
+          LinkFaultPlan{.drop_probability = 1.5, .partitions = {}}, 1),
+      "");
+  EXPECT_DEATH(
+      LinkFaultInjector(
+          LinkFaultPlan{.duplicate_probability = -0.1, .partitions = {}}, 1),
+      "");
+  EXPECT_DEATH(
+      LinkFaultInjector(LinkFaultPlan{.jitter_min = 0.5,
+                                      .jitter_max = 0.1,
+                                      .partitions = {}},
                         1),
       "");
   LinkFaultPlan bad_window;
@@ -148,7 +153,8 @@ TEST(LinkSendTest, WithoutInjectorSendMatchesTransferTiming) {
 TEST(LinkSendTest, DroppedMessagePaysLatencyButNoBandwidth) {
   Simulation sim;
   Link link(sim, "l", Bandwidth{100.0}, 0.5);
-  LinkFaultInjector inj(LinkFaultPlan{.drop_probability = 1.0}, 1);
+  LinkFaultInjector inj(
+      LinkFaultPlan{.drop_probability = 1.0, .partitions = {}}, 1);
   link.set_fault_injector(&inj);
   std::vector<double> t;
   std::vector<LinkVerdict> verdicts;
@@ -163,7 +169,8 @@ TEST(LinkSendTest, DroppedMessagePaysLatencyButNoBandwidth) {
 TEST(LinkSendTest, DuplicatedMessagePaysBandwidthTwice) {
   Simulation sim;
   Link link(sim, "l", Bandwidth{100.0}, 0.0);
-  LinkFaultInjector inj(LinkFaultPlan{.duplicate_probability = 1.0}, 1);
+  LinkFaultInjector inj(
+      LinkFaultPlan{.duplicate_probability = 1.0, .partitions = {}}, 1);
   link.set_fault_injector(&inj);
   std::vector<double> t;
   std::vector<LinkVerdict> verdicts;
