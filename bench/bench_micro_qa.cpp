@@ -1,11 +1,12 @@
-// Micro-benchmarks of the Q/A pipeline stages: question processing, NER,
-// paragraph scoring, answer processing per paragraph, and the end-to-end
-// engine.
+// Micro-benchmarks of the Q/A pipeline stages: question processing,
+// tokenizing and keyword-mapping a paragraph, NER, paragraph scoring,
+// answer processing per paragraph, and the end-to-end engine.
 
 #include <benchmark/benchmark.h>
 
 #include "parallel/qa_stages.hpp"
 #include "qa/ner.hpp"
+#include "qa/text_match.hpp"
 #include "support/bench_world.hpp"
 
 namespace {
@@ -38,6 +39,40 @@ const std::vector<qa::ScoredParagraph>& sample_paragraphs() {
   }();
   return paragraphs;
 }
+
+// Tokenizing one retrieved paragraph: AP's first step on every paragraph.
+void BM_Tokenize(benchmark::State& state) {
+  const auto& world = bench::bench_world();
+  const auto& paragraphs = sample_paragraphs();
+  std::size_t i = 0;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto& text = paragraphs[i++ % paragraphs.size()].paragraph.text;
+    benchmark::DoNotOptimize(world.engine->analyzer().tokenize(text));
+    bytes += text.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Tokenize);
+
+// Matching one tokenized paragraph against the question's keywords: the
+// keyword matcher alone (stopping, stemming, comparing), tokens prebuilt.
+void BM_MapKeywords(benchmark::State& state) {
+  const auto& world = bench::bench_world();
+  const auto& q = world.questions.front();
+  const auto pq = world.engine->process_question(q.id, q.text);
+  std::vector<std::vector<ir::Token>> tokenized;
+  for (const auto& p : sample_paragraphs()) {
+    tokenized.push_back(world.engine->analyzer().tokenize(p.paragraph.text));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qa::map_keywords(world.engine->analyzer(),
+                                              pq.keywords,
+                                              tokenized[i++ % tokenized.size()]));
+  }
+}
+BENCHMARK(BM_MapKeywords);
 
 void BM_ParagraphScoring(benchmark::State& state) {
   const auto& world = bench::bench_world();

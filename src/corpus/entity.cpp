@@ -35,13 +35,25 @@ void Gazetteer::add(std::string_view surface, EntityType type) {
   std::string key = to_lower(surface);
   const std::size_t tokens = split_whitespace(key).size();
   max_tokens_ = std::max(max_tokens_, tokens);
+  // Only a key made of single-space-separated tokens can equal an NER
+  // n-gram, and for such a key the text before the first space is its
+  // first token.
+  const std::string_view first =
+      std::string_view(key).substr(0, key.find(' '));
+  auto& longest = max_tokens_from_[std::string(first)];
+  longest = std::max(longest, tokens);
   entries_.insert_or_assign(std::move(key), type);
 }
 
 std::optional<EntityType> Gazetteer::lookup(std::string_view key) const {
-  const auto it = entries_.find(std::string(key));
+  const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
+}
+
+std::size_t Gazetteer::max_tokens_from(std::string_view first_word) const {
+  const auto it = max_tokens_from_.find(first_word);
+  return it == max_tokens_from_.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<std::string, EntityType>> Gazetteer::entries() const {

@@ -1,10 +1,11 @@
 #pragma once
 
+#include <functional>
 #include <optional>
-#include <utility>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace qadist::corpus {
@@ -43,13 +44,19 @@ class Gazetteer {
   /// their space-joined lowercase token sequence.
   void add(std::string_view surface, EntityType type);
 
-  /// Looks up a (lowercase, space-joined) token sequence.
+  /// Looks up a (lowercase, space-joined) token sequence. Probes the map
+  /// with the view itself; no key string is built.
   [[nodiscard]] std::optional<EntityType> lookup(std::string_view key) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Longest entity length in tokens — bounds the NER n-gram scan.
+  /// Longest entity length in tokens.
   [[nodiscard]] std::size_t max_tokens() const { return max_tokens_; }
+
+  /// Longest length in tokens of an entity whose first word is
+  /// `first_word`, or 0 when none starts with it — bounds the NER n-gram
+  /// scan at that word.
+  [[nodiscard]] std::size_t max_tokens_from(std::string_view first_word) const;
 
   /// All surface forms of a given type (test support).
   [[nodiscard]] std::vector<std::string> surfaces_of(EntityType type) const;
@@ -60,7 +67,20 @@ class Gazetteer {
       const;
 
  private:
-  std::unordered_map<std::string, EntityType> entries_;
+  /// Hashes `std::string` keys and `std::string_view` probes alike, so
+  /// lookups take a view (heterogeneous lookup).
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  template <typename V>
+  using StringMap =
+      std::unordered_map<std::string, V, KeyHash, std::equal_to<>>;
+
+  StringMap<EntityType> entries_;
+  StringMap<std::size_t> max_tokens_from_;  ///< first word -> longest entity
   std::size_t max_tokens_ = 0;
 };
 

@@ -49,18 +49,14 @@ bool is_linking_word(std::string_view w) {
 }
 
 /// True when every candidate token is itself a question keyword — i.e. the
-/// candidate is (part of) the question's subject.
-bool candidate_is_subject(const ir::Analyzer& analyzer,
-                          std::span<const std::string> keywords,
-                          const std::vector<ir::Token>& tokens,
+/// candidate is (part of) the question's subject. Stopwords inside the
+/// candidate ("the") are neutral.
+bool candidate_is_subject(const std::vector<ir::Token>& tokens,
+                          const std::vector<int>& keyword_map,
                           const EntityMention& mention) {
   for (std::uint32_t i = mention.first_token;
        i < mention.first_token + mention.token_count; ++i) {
-    const auto& tok = tokens[i];
-    if (ir::is_stopword(tok.text)) continue;
-    const std::string norm = tok.numeric ? tok.text : analyzer.stem(tok.text);
-    if (std::find(keywords.begin(), keywords.end(), norm) == keywords.end())
-      return false;
+    if (keyword_map[i] < 0 && !ir::is_stopword(tokens[i].text)) return false;
   }
   return true;
 }
@@ -91,8 +87,7 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
         mention.type != question.answer_type) {
       continue;
     }
-    if (candidate_is_subject(*analyzer_, question.keywords, tokens, mention))
-      continue;
+    if (candidate_is_subject(tokens, keyword_map, mention)) continue;
 
     // --- Build the answer window: candidate plus the nearest occurrence of
     // each present keyword, clipped to max_window_tokens around the

@@ -1,6 +1,8 @@
 #include "qa/ner.hpp"
 
 #include <array>
+#include <optional>
+#include <string_view>
 
 #include "qa/text_match.hpp"
 
@@ -19,7 +21,8 @@ bool is_month(std::string_view w) {
 
 bool is_year(const ir::Token& t) {
   if (!t.numeric || t.text.size() != 4) return false;
-  const int y = std::stoi(t.text);
+  int y = 0;
+  for (char c : t.text) y = y * 10 + (c - '0');
   return y >= 1000 && y <= 2100;
 }
 
@@ -34,8 +37,7 @@ std::vector<EntityMention> EntityRecognizer::recognize(
     const std::vector<ir::Token>& tokens) const {
   std::vector<EntityMention> mentions;
   const auto n = static_cast<std::uint32_t>(tokens.size());
-  const auto max_len =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, gazetteer_->max_tokens()));
+  std::string key;  // reused n-gram buffer
 
   std::uint32_t i = 0;
   while (i < n) {
@@ -43,24 +45,32 @@ std::vector<EntityMention> EntityRecognizer::recognize(
 
     // --- Gazetteer: longest capitalized-led n-gram first. Entity names may
     // begin with a lowercase article ("the Amsen Lighthouse"), so "the" is
-    // also allowed to open a candidate span.
+    // also allowed to open a candidate span. No entity is longer than the
+    // longest one starting with this word. The longest n-gram is joined
+    // once; each shorter one is a prefix of it, ending before a space.
     if (tok.capitalized || tok.text == "the") {
-      bool matched = false;
-      const std::uint32_t limit = std::min(max_len, n - i);
-      for (std::uint32_t len = limit; len >= 1 && !matched; --len) {
-        std::string key;
-        for (std::uint32_t k = i; k < i + len; ++k) {
-          if (!key.empty()) key += ' ';
+      const auto limit = static_cast<std::uint32_t>(
+          std::min<std::size_t>(gazetteer_->max_tokens_from(tok.text), n - i));
+      if (limit > 0) {
+        key = tok.text;
+        for (std::uint32_t k = i + 1; k < i + limit; ++k) {
+          key += ' ';
           key += tokens[k].text;
         }
-        if (const auto type = gazetteer_->lookup(key)) {
+        std::string_view gram = key;
+        std::uint32_t len = limit;
+        std::optional<corpus::EntityType> type;
+        while (!(type = gazetteer_->lookup(gram)) && len > 1) {
+          gram = gram.substr(0, gram.rfind(' '));
+          --len;
+        }
+        if (type) {
           mentions.push_back(EntityMention{*type, i, len,
                                            surface(tokens, i, len), 1.0});
           i += len;
-          matched = true;
+          continue;
         }
       }
-      if (matched) continue;
     }
 
     // --- DATE: "<month> <day> [<year>]" or a bare plausible year.

@@ -9,8 +9,8 @@ namespace qadist::qa {
 
 ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
                                        RetrievedParagraph paragraph) const {
-  const auto tokens = analyzer_->tokenize(paragraph.text);
-  const auto map = map_keywords(*analyzer_, question.keywords, tokens);
+  const auto map =
+      map_text_keywords(*analyzer_, question.keywords, paragraph.text);
   const std::size_t k = question.keywords.size();
 
   // H1: completeness.

@@ -35,6 +35,19 @@ TEST(GazetteerTest, MaxTokensTracksLongestEntry) {
   EXPECT_EQ(g.max_tokens(), 3u);  // stays at the max
 }
 
+TEST(GazetteerTest, MaxTokensFromBoundsEachFirstWord) {
+  Gazetteer g;
+  g.add("Port Amsen", EntityType::kLocation);
+  g.add("Port Amsen Harbor Authority", EntityType::kOrganization);
+  g.add("the Amsen Lighthouse", EntityType::kLocation);
+  g.add("Amsen", EntityType::kPerson);
+  EXPECT_EQ(g.max_tokens_from("port"), 4u);
+  EXPECT_EQ(g.max_tokens_from("the"), 3u);
+  EXPECT_EQ(g.max_tokens_from("amsen"), 1u);
+  EXPECT_EQ(g.max_tokens_from("harbor"), 0u);  // never a first word
+  EXPECT_EQ(g.max_tokens_from("Port"), 0u);    // keys are lowercase
+}
+
 TEST(GazetteerTest, SurfacesOfFiltersByType) {
   Gazetteer g;
   g.add("Port Amsen", EntityType::kLocation);

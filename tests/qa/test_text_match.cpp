@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace qadist::qa {
 namespace {
 
@@ -53,6 +58,78 @@ TEST_F(TextMatchTest, SurfaceSpanClampsAtEnd) {
   const auto tokens = analyzer_.tokenize("one two");
   EXPECT_EQ(surface_span(tokens, 1, 10), "two");
   EXPECT_EQ(surface_span(tokens, 5, 2), "");
+}
+
+TEST_F(TextMatchTest, MatcherAgreesWithStemAtEveryRuleAndThreshold) {
+  // Each suffix rule of the stemmer, on words of 3-7 letters: the rules
+  // switch on at lengths 4 (-s), 5 (-ies, -ed, sibilant -es) and 6 (-ing).
+  // A keyword must match exactly when it equals the allocated stem.
+  const std::vector<std::string> suffixes = {
+      "", "s", "ss", "es", "ies", "ing", "ed", "sses", "xes", "zes", "ches",
+      "shes"};
+  std::size_t matched = 0;
+  std::size_t probes = 0;
+  for (const auto& suffix : suffixes) {
+    for (std::size_t len = std::max<std::size_t>(suffix.size(), 1); len <= 7;
+         ++len) {
+      const std::string word =
+          std::string("mnopqrt").substr(0, len - suffix.size()) + suffix;
+      const std::string stem = analyzer_.stem(word);
+      std::vector<std::string> candidates = {
+          stem, word, stem + "y", stem + "s", stem.substr(0, stem.size() - 1),
+          word.substr(0, word.size() - 1)};
+      if (!stem.empty() && stem.back() == 'y') {
+        candidates.push_back(stem.substr(0, stem.size() - 1) + "i");
+      }
+      for (const auto& kw : candidates) {
+        const std::vector<std::string> keywords = {kw};
+        const bool want = !ir::is_stopword(word) && kw == stem;
+        EXPECT_EQ(match_keyword(analyzer_, keywords, word, false) == 0, want)
+            << word << " vs " << kw;
+        matched += want ? 1 : 0;
+        ++probes;
+      }
+    }
+  }
+  EXPECT_GT(matched, 40u);
+  EXPECT_GT(probes, 300u);
+}
+
+TEST_F(TextMatchTest, NumericWordsCompareVerbatim) {
+  const std::vector<std::string> keywords = {"1912s", "1912"};
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "1912", true), 1);
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "1912s", false), 1);
+}
+
+TEST_F(TextMatchTest, StopwordsNeverMatchEvenWhenSpelledAsKeywords) {
+  // "thes" stems to "the", so a question can carry a keyword that spells a
+  // stopword; the stopword itself still never matches it.
+  const std::vector<std::string> keywords = {"the", "how"};
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "the", false), -1);
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "how", false), -1);
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "thes", false), 0);
+  EXPECT_EQ(match_keyword(analyzer_, keywords, "hows", false), 1);
+}
+
+TEST_F(TextMatchTest, ScannedMapEqualsTokenMap) {
+  const std::vector<std::string> keywords = {"found", "amsen", "city", "1912",
+                                             "church", "lighthouse"};
+  static constexpr char kAlphabet[] =
+      "Founded founding FOUNDS amsen Amsen's cities Cities church churches "
+      "1912 $ 19123 lighthouses the The of , . \xc3\xa9 ";
+  Rng rng(77);
+  for (int i = 0; i < 300; ++i) {
+    std::string text;
+    const auto pieces = rng.below(40);
+    for (std::uint64_t k = 0; k < pieces; ++k) {
+      const auto at = rng.below(sizeof(kAlphabet) - 1);
+      text += std::string_view(kAlphabet).substr(at, 1 + rng.below(12));
+    }
+    const auto tokens = analyzer_.tokenize(text);
+    EXPECT_EQ(map_text_keywords(analyzer_, keywords, text),
+              map_keywords(analyzer_, keywords, tokens))
+        << text;
+  }
 }
 
 }  // namespace
