@@ -15,16 +15,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "sched/load.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_ablations(const BenchCli& /*cli*/) {
   using cluster::Policy;
   using cluster::SystemConfig;
   const auto& world = bench::bench_world();

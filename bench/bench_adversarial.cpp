@@ -19,10 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz/scenario.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -45,11 +45,7 @@ std::string scenario_dir() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace qadist;
-  const bench::BenchCli cli = bench::BenchCli::parse(argc, argv);
-  (void)cli;  // corpus replay has no size knobs: the scenarios ARE the spec
-
+int qadist::bench::run_adversarial(const BenchCli& /*cli*/) {
   const std::string dir = scenario_dir();
   const std::vector<fuzz::LoadedScenario> corpus =
       fuzz::load_scenario_dir(dir);
@@ -155,7 +151,7 @@ int main(int argc, char** argv) {
   report.write();
 
   if (failures > 0) {
-    std::fprintf(stderr, "\nbench_adversarial: %d failure(s)\n", failures);
+    std::fprintf(stderr, "\nadversarial: %d failure(s)\n", failures);
     return 1;
   }
   std::printf("\nall %zu scenarios replayed bit-identically inside their "

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "cluster/workload.hpp"
 #include "workload/driver.hpp"
 #include "common/table.hpp"
@@ -31,7 +32,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/drift.hpp"
 #include "obs/timeseries.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -46,9 +46,7 @@ struct RunOutput {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_attribution(const BenchCli& cli) {
   const auto& world = bench::bench_world();
   const std::size_t nodes = cli.nodes_or(cli.smoke ? 4 : 8);
   const std::uint64_t seed = cli.seed_or(7);

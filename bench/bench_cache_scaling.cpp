@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -38,7 +38,6 @@ cluster::SystemConfig cached_config(std::size_t nodes, std::uint64_t seed,
   cfg.nodes = nodes;
   cfg.seed = seed;
   cfg.dispatch.policy = Policy::kDqa;
-  cfg.dispatch.cache_affinity = true;
   cfg.partition.ap_chunk = bench::scaled_chunk(world);
   cfg.cache.answers.max_entries = 256;
   cfg.cache.paragraphs.max_entries = 128;
@@ -58,8 +57,7 @@ cluster::SystemConfig uncached_config(std::size_t nodes, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+int qadist::bench::run_cache_scaling(const BenchCli& cli) {
   const auto& world = bench::bench_world();
   const std::uint64_t seed = cli.seed_or(1000);
 

@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "model/capacity.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -73,8 +73,7 @@ ServiceCalibration calibrate_service(const bench::BenchWorld& world,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+int qadist::bench::run_capacity_planning(const BenchCli& cli) {
   const auto& world = bench::bench_world();
   const std::uint64_t seed = cli.seed_or(2000);
 

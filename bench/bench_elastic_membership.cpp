@@ -9,17 +9,15 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "cluster/workload.hpp"
 #include "workload/driver.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_elastic_membership(const BenchCli& /*cli*/) {
   using cluster::Policy;
   const auto& world = bench::bench_world();
   constexpr std::size_t kNodes = 12;

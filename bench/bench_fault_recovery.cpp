@@ -11,17 +11,15 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "cluster/workload.hpp"
 #include "workload/driver.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_fault_recovery(const BenchCli& cli) {
   using cluster::Policy;
   using parallel::Strategy;
   const auto& world = bench::bench_world();

@@ -13,15 +13,13 @@
 #include <filesystem>
 #include <string>
 
+#include "benches.hpp"
 #include "obs/export.hpp"
 #include "obs/span.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_fig7_traces(const BenchCli& /*cli*/) {
   using parallel::Strategy;
   const auto& world = bench::bench_world();
 

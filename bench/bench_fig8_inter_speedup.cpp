@@ -7,15 +7,13 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "model/inter_question.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_fig8_inter_speedup(const BenchCli& /*cli*/) {
   using model::InterQuestionModel;
   using model::InterQuestionParams;
 

@@ -9,10 +9,10 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "model/intra_question.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 
 namespace {
@@ -27,10 +27,7 @@ qadist::model::IntraQuestionModel make_model(double disk_mbps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
-
+int qadist::bench::run_fig9_intra_speedup(const BenchCli& /*cli*/) {
   const double n_values[] = {20, 40, 60, 80, 100, 120, 140, 160, 180, 200};
 
   bench::BenchReport report("fig9_intra_speedup");

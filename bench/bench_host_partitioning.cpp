@@ -18,10 +18,10 @@
 #include <queue>
 #include <thread>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "parallel/qa_stages.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -66,9 +66,7 @@ double recv_makespan(std::size_t workers, std::size_t chunk_size,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_host_partitioning(const BenchCli& /*cli*/) {
   using parallel::ExecutorOptions;
   using parallel::Strategy;
   const auto& world = bench::bench_world();
@@ -160,7 +158,7 @@ int main(int argc, char** argv) {
     std::printf(
         "RECV chunk sweep — balance side of Fig. 10's U-curve (the "
         "per-chunk overhead side needs the simulated per-batch costs; see "
-        "bench_fig10):\n%s\n",
+        "fig10_chunk_granularity):\n%s\n",
         table.render().c_str());
   }
 

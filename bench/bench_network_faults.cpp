@@ -20,16 +20,14 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "cluster/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_network_faults(const BenchCli& cli) {
   using cluster::Policy;
   using parallel::Strategy;
   const auto& world = bench::bench_world();

@@ -35,13 +35,13 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "broker/config.hpp"
 #include "broker/cori.hpp"
 #include "broker/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "ir/shard_stats.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -155,8 +155,7 @@ std::string top_answer(const qa::Engine& engine,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+int qadist::bench::run_selective_search(const BenchCli& cli) {
   const std::uint64_t seed = cli.seed_or(2000);
   const auto sw = build_world(cli.smoke);
   const std::size_t num_shards = sw.num_shards;
@@ -303,8 +302,7 @@ int main(int argc, char** argv) {
   report.write();
   if (bar_checked && !bar_passed) {
     std::fprintf(stderr,
-                 "bench_selective_search: acceptance bar FAILED (see "
-                 "above)\n");
+                 "selective_search: acceptance bar FAILED (see above)\n");
     return 1;
   }
   return 0;

@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "shard/shard_map.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
@@ -56,8 +56,7 @@ constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+int qadist::bench::run_shard_scaling(const BenchCli& cli) {
   const auto& world = bench::bench_world();
   const std::uint64_t seed = cli.seed_or(1000);
 

@@ -7,15 +7,13 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "model/intra_question.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_table4_practical_limits(const BenchCli& /*cli*/) {
   using model::IntraQuestionModel;
   using model::IntraQuestionParams;
 

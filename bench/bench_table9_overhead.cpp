@@ -7,14 +7,12 @@
 
 #include <cstdio>
 
+#include "benches.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 
-int main(int argc, char** argv) {
-  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_table9_overhead(const BenchCli& /*cli*/) {
   const auto& world = bench::bench_world();
   constexpr std::size_t kQuestions = 40;
 

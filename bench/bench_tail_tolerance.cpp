@@ -11,7 +11,7 @@
 // at moderate open load (0.6x aggregate service rate — tails come from
 // the gray node, not from saturation).
 //
-// This harness enforces the PR's acceptance bar and exits non-zero if the
+// This bench enforces its acceptance bar and returns non-zero if the
 // toolkit stops earning its keep:
 //   * unmitigated, the slow node pushes p99 past 6x the healthy baseline;
 //   * hedging + tied + latency-aware holds p99 within 3x of healthy;
@@ -22,10 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "benches.hpp"
 #include "cluster/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "support/bench_cli.hpp"
 #include "support/bench_report.hpp"
 #include "support/bench_world.hpp"
 #include "workload/driver.hpp"
@@ -60,9 +60,7 @@ constexpr Scenario kScenarios[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  using namespace qadist;
+int qadist::bench::run_tail_tolerance(const BenchCli& cli) {
   const auto& world = bench::bench_world();
   const std::size_t nodes = cli.nodes_or(12);
   const std::size_t questions = (cli.smoke ? 3 : 4) * nodes;

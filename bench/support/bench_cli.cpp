@@ -1,5 +1,6 @@
 #include "support/bench_cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -9,14 +10,15 @@ namespace qadist::bench {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: [--nodes N] [--seed S] [--policy NAME] [--strategy NAME]\n"
-    "       [--drop-rate P] [--brokers B] [--selectivity F]\n"
-    "       [--out DIR] [--smoke] [--help]\n"
+    "usage: qadist_bench [--nodes N] [--seed S] [--policy NAME]\n"
+    "                    [--drop-rate P] [--brokers B] [--selectivity F]\n"
+    "                    [--out DIR] [--smoke] [--help] NAME...\n"
+    "\n"
+    "Runs the named benches in order; the flags apply to every one.\n"
     "\n"
     "  --nodes N        override the node count\n"
     "  --seed S         override the workload seed\n"
     "  --policy NAME    DNS | INTER | DQA | TWO-CHOICE\n"
-    "  --strategy NAME  SEND | ISEND | RECV\n"
     "  --drop-rate P    per-message drop probability in [0,1]\n"
     "  --brokers B      broker/mediator tier size (0 = flat star)\n"
     "  --selectivity F  fraction of shards searched per question, (0,1]\n"
@@ -86,6 +88,10 @@ std::optional<BenchCli> BenchCli::try_parse(std::span<const char* const> args,
       cli.smoke = true;
       continue;
     }
+    if (!arg.empty() && arg[0] != '-') {
+      cli.names.emplace_back(arg);
+      continue;
+    }
     if (match_value_flag(args, i, "--nodes", value)) {
       std::uint64_t n = 0;
       if (!value.has_value() || !parse_count(*value, n) || n == 0) {
@@ -110,16 +116,6 @@ std::optional<BenchCli> BenchCli::try_parse(std::span<const char* const> args,
                     "' (DNS | INTER | DQA | TWO-CHOICE)");
       }
       cli.policy = *policy;
-      continue;
-    }
-    if (match_value_flag(args, i, "--strategy", value)) {
-      if (!value.has_value()) return fail("--strategy expects a name");
-      const auto strategy = cluster::parse_strategy(*value);
-      if (!strategy.has_value()) {
-        return fail("unknown strategy '" + std::string(*value) +
-                    "' (SEND | ISEND | RECV)");
-      }
-      cli.strategy = *strategy;
       continue;
     }
     if (match_value_flag(args, i, "--drop-rate", value)) {
@@ -158,29 +154,64 @@ std::optional<BenchCli> BenchCli::try_parse(std::span<const char* const> args,
   return cli;
 }
 
-BenchCli BenchCli::parse(int argc, char** argv) {
+std::string usage(std::span<const BenchEntry> table) {
+  std::string text = kUsage;
+  text += "\nbenches:\n";
+  for (const BenchEntry& entry : table) {
+    text += "  ";
+    text += entry.name;
+    text += '\n';
+  }
+  return text;
+}
+
+int bench_main(std::span<const BenchEntry> table,
+               std::span<const char* const> args) {
   std::string error;
-  const auto cli = try_parse(
-      std::span<const char* const>(
-          const_cast<const char* const*>(argv) + (argc > 0 ? 1 : 0),
-          argc > 0 ? static_cast<std::size_t>(argc - 1) : 0),
-      &error);
-  const char* program = argc > 0 ? argv[0] : "bench";
-  if (!cli.has_value()) {
-    if (error == "help") {
-      std::printf("%s %s", program, kUsage);
-      std::exit(0);
-    }
-    std::fprintf(stderr, "%s: %s\n%s %s", program, error.c_str(), program,
-                 kUsage);
-    std::exit(2);
+  const std::optional<BenchCli> cli = BenchCli::try_parse(args, &error);
+  if (!cli.has_value() && error == "help") {
+    std::printf("%s", usage(table).c_str());
+    return 0;
+  }
+  const auto usage_error = [&table](const std::string& message) {
+    std::fprintf(stderr, "qadist_bench: %s\n%s", message.c_str(),
+                 usage(table).c_str());
+    return 2;
+  };
+  if (!cli.has_value()) return usage_error(error);
+  if (cli->names.empty()) return usage_error("name at least one bench");
+  // Resolve every name before running anything: a typo late in a long
+  // list must not cost the benches before it.
+  std::vector<const BenchEntry*> chosen;
+  for (const std::string& name : cli->names) {
+    const auto it =
+        std::find_if(table.begin(), table.end(),
+                     [&name](const BenchEntry& e) { return e.name == name; });
+    if (it == table.end()) return usage_error("unknown bench '" + name + "'");
+    chosen.push_back(&*it);
   }
   if (cli->out.has_value()) {
     // BenchReport resolves its directory from the environment, so one
-    // export covers every report the binary writes.
+    // export covers every report the benches write.
     ::setenv("QADIST_RESULTS_DIR", cli->out->c_str(), /*overwrite=*/1);
   }
-  return *cli;
+
+  std::vector<std::string_view> failed;
+  for (const BenchEntry* entry : chosen) {
+    const int status = entry->run(*cli);
+    // Keep each bench's table ahead of the next bench's stderr when both
+    // streams go to one log.
+    std::fflush(stdout);
+    if (status != 0) failed.push_back(entry->name);
+  }
+  if (failed.empty()) return 0;
+  std::fprintf(stderr, "qadist_bench: %zu of %zu bench(es) failed:",
+               failed.size(), chosen.size());
+  for (const std::string_view name : failed) {
+    std::fprintf(stderr, " %.*s", static_cast<int>(name.size()), name.data());
+  }
+  std::fprintf(stderr, "\n");
+  return 1;
 }
 
 }  // namespace qadist::bench

@@ -4,19 +4,20 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/names.hpp"
-#include "parallel/partition.hpp"
 
 namespace qadist::bench {
 
-/// The shared command line of every bench binary. One flag grammar across
-/// the suite (no per-bench argv parsing):
+/// The command line of the bench program, `qadist_bench [flags] NAME...`.
+/// Positional arguments name the benches to run; the flags are shared by
+/// all of them (no per-bench argv parsing):
 ///
 ///   --nodes N        override the node count (benches with one pool size)
 ///   --seed S         override the workload seed
 ///   --policy NAME    DNS | INTER | DQA | TWO-CHOICE (case-insensitive)
-///   --strategy NAME  SEND | ISEND | RECV (case-insensitive)
 ///   --drop-rate P    per-message drop probability in [0,1] (fault benches)
 ///   --brokers B      broker/mediator tier size (0 = flat star)
 ///   --selectivity F  fraction of shards searched per question, (0,1]
@@ -27,13 +28,13 @@ namespace qadist::bench {
 ///
 /// Values may be attached with '=' ("--nodes=8") or follow as the next
 /// argument ("--nodes 8"). Every flag is optional: a bench passes its own
-/// defaults to the *_or accessors, so running with no arguments reproduces
-/// the published experiment exactly.
+/// defaults to the *_or accessors, so running a bench with no flags
+/// reproduces the published experiment exactly.
 struct BenchCli {
+  std::vector<std::string> names;  // positional bench names, in order
   std::optional<std::size_t> nodes;
   std::optional<std::uint64_t> seed;
   std::optional<cluster::Policy> policy;
-  std::optional<parallel::Strategy> strategy;
   std::optional<double> drop_rate;
   std::optional<std::size_t> brokers;
   std::optional<double> selectivity;
@@ -48,10 +49,6 @@ struct BenchCli {
   }
   [[nodiscard]] cluster::Policy policy_or(cluster::Policy fallback) const {
     return policy.value_or(fallback);
-  }
-  [[nodiscard]] parallel::Strategy strategy_or(
-      parallel::Strategy fallback) const {
-    return strategy.value_or(fallback);
   }
   [[nodiscard]] double drop_rate_or(double fallback) const {
     return drop_rate.value_or(fallback);
@@ -68,11 +65,26 @@ struct BenchCli {
   /// program name.
   [[nodiscard]] static std::optional<BenchCli> try_parse(
       std::span<const char* const> args, std::string* error);
-
-  /// Bench-main entry point: parses argv, prints usage and exits on
-  /// --help (status 0) or a parse error (status 2), and exports --out to
-  /// QADIST_RESULTS_DIR so BenchReport picks it up.
-  [[nodiscard]] static BenchCli parse(int argc, char** argv);
 };
+
+/// One subcommand of the bench program: a name and the function that runs
+/// the bench and returns its exit status (0 when its acceptance check
+/// passes).
+struct BenchEntry {
+  std::string_view name;
+  int (*run)(const BenchCli&);
+};
+
+/// Usage text: the flag grammar followed by every bench name in `table`.
+[[nodiscard]] std::string usage(std::span<const BenchEntry> table);
+
+/// The bench program's main. `args` excludes the program name. --help
+/// prints usage and returns 0; a bad flag, no bench name or an unknown
+/// name prints usage and returns 2 before any bench runs. Otherwise it
+/// exports --out to QADIST_RESULTS_DIR (BenchReport reads it), runs every
+/// named bench in order even after one fails, and returns 1 naming the
+/// failed benches on stderr, or 0 when all passed.
+int bench_main(std::span<const BenchEntry> table,
+               std::span<const char* const> args);
 
 }  // namespace qadist::bench

@@ -10,7 +10,7 @@
 
 namespace qadist::bench {
 
-/// Machine-readable twin of a bench binary's text table. Each harness
+/// Machine-readable twin of a bench's text table. Each bench
 /// builds one report, adds its configuration and measured metrics, and
 /// writes `results/BENCH_<name>.json` next to the human-readable
 /// `bench_<name>.txt` that scripts/reproduce.sh captures (override the
@@ -55,7 +55,6 @@ class BenchReport {
   void metric(std::string name, obs::Labels labels, const RunningStats& stats,
               double paper_expected);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t metric_count() const { return metrics_.size(); }
   [[nodiscard]] std::string to_json() const;
 

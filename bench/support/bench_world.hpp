@@ -20,7 +20,8 @@ namespace qadist::bench {
 /// TREC-like question set, the calibrated cost model, and precomputed
 /// question plans for the simulator.
 ///
-/// Built once per bench binary (it runs the real pipeline for every plan).
+/// Built at most once per process, on first use (it runs the real pipeline
+/// for every plan), so every bench of one qadist_bench call shares it.
 struct BenchWorld {
   corpus::GeneratedCorpus corpus;
   std::unique_ptr<qa::Engine> engine;

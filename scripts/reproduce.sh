@@ -15,33 +15,34 @@ mkdir -p results
 echo "== tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 | tee results/tests.txt
 
-# Every harness must exist, be runnable, and exit zero — a bench that
+# Every bench must exist, be runnable, and exit zero — a bench that
 # silently vanishes or crashes is a coverage loss, so the script fails
 # loudly instead of skipping it (pipefail makes the tee pipelines honor
-# the binary's exit status).
+# the program's exit status).
 failures=()
 
-echo "== benches =="
-bench_count=0
-for b in "$BUILD_DIR"/bench/bench_*; do
-  [ -f "$b" ] || continue
-  name="$(basename "$b")"
-  if [ ! -x "$b" ]; then
-    echo "ERROR: $name exists but is not executable"
-    failures+=("$name (not executable)")
-    continue
-  fi
-  bench_count=$((bench_count + 1))
+run_bench() {  # usage: run_bench NAME COMMAND...
+  local name="$1"
+  shift
   echo "-- $name"
-  if ! "$b" | tee "results/$name.txt"; then
+  if ! "$@" | tee "results/$name.txt"; then
     echo "ERROR: $name exited non-zero"
     failures+=("$name")
   fi
+}
+
+# qadist_bench runs the paper exhibits and extension studies by name;
+# one call per bench keeps a text table per exhibit. A missing program
+# fails the assignment, and set -e stops the script there.
+echo "== benches =="
+BENCH="$BUILD_DIR/bench/qadist_bench"
+bench_names="$("$BENCH" --help | awk '/^benches:/ {on = 1; next} on {print $1}')"
+for name in $bench_names; do
+  run_bench "bench_$name" "$BENCH" "$name"
 done
-if [ "$bench_count" -eq 0 ]; then
-  echo "ERROR: no bench binaries found under $BUILD_DIR/bench"
-  failures+=("no bench binaries")
-fi
+for b in "$BUILD_DIR"/bench/bench_micro_*; do
+  run_bench "$(basename "$b")" "$b"
+done
 
 echo "== examples =="
 for e in "$BUILD_DIR"/examples/*; do
@@ -61,7 +62,7 @@ for e in "$BUILD_DIR"/examples/*; do
 done
 
 # Structured twins: benches emit machine-readable BENCH_<name>.json
-# (schema qadist-bench-v1) next to the text tables, and bench_fig7_traces
+# (schema qadist-bench-v1) next to the text tables, and fig7_traces
 # exports TRACE_*.jsonl / TRACE_*.chrome.json (open the latter in
 # https://ui.perfetto.dev). List and sanity-check them.
 echo "== structured results =="
@@ -79,7 +80,7 @@ echo "$json_count bench JSON reports in results/."
 # One index over all structured reports: results/INDEX.json lists every
 # BENCH_*.json with its bench name, schema, and metric names, plus the
 # pinned adversarial scenario corpus (results/scenarios/*.json, replayed
-# by bench_adversarial), so tooling can discover the exhibits without
+# by the adversarial bench), so tooling can discover the exhibits without
 # globbing.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'PY'
@@ -143,7 +144,7 @@ else
 fi
 
 if [ "${#failures[@]}" -gt 0 ]; then
-  echo "REPRODUCE FAILED — ${#failures[@]} harness(es) missing or broken:"
+  echo "REPRODUCE FAILED — ${#failures[@]} bench(es) or example(s) missing or broken:"
   printf '  %s\n' "${failures[@]}"
   exit 1
 fi

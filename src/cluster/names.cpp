@@ -49,14 +49,4 @@ std::optional<Policy> parse_policy(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<parallel::Strategy> parse_strategy(std::string_view name) {
-  const std::string c = canon(name);
-  for (const parallel::Strategy s :
-       {parallel::Strategy::kSend, parallel::Strategy::kIsend,
-        parallel::Strategy::kRecv}) {
-    if (c == parallel::to_string(s)) return s;
-  }
-  return std::nullopt;
-}
-
 }  // namespace qadist::cluster

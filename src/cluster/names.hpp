@@ -3,8 +3,6 @@
 #include <optional>
 #include <string_view>
 
-#include "parallel/partition.hpp"
-
 namespace qadist::cluster {
 
 /// The three load-balancing policies compared in paper Sec. 6.1:
@@ -22,13 +20,11 @@ namespace qadist::cluster {
 /// included as a modern baseline against the paper's INTER design.
 enum class Policy { kDns, kInter, kDqa, kTwoChoice };
 
-/// Canonical names and parsers for the enums that cross program boundaries
-/// (bench CLI flags, trace attributes, JSON reports). to_string and parse
-/// round-trip exactly; parse is additionally case-insensitive and accepts
-/// '-'/'_' interchangeably ("two-choice" == "TWO_CHOICE").
+/// Canonical name and parser for the policy enum, which crosses program
+/// boundaries (bench CLI flags, trace attributes, JSON reports). to_string
+/// and parse round-trip exactly; parse is additionally case-insensitive and
+/// accepts '-'/'_' interchangeably ("two-choice" == "TWO_CHOICE").
 [[nodiscard]] std::string_view to_string(Policy policy);
 [[nodiscard]] std::optional<Policy> parse_policy(std::string_view name);
-[[nodiscard]] std::optional<parallel::Strategy> parse_strategy(
-    std::string_view name);
 
 }  // namespace qadist::cluster

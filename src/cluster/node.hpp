@@ -58,7 +58,6 @@ class Node {
     if (hosted_counter_ != nullptr) hosted_counter_->inc();
   }
   void question_departed();
-  [[nodiscard]] int resident_questions() const { return resident_questions_; }
 
   /// Fault injection: a crash halts CPU and disk (in-flight work resumes
   /// unserved — customers must check the owning System's crash flag after

@@ -708,11 +708,6 @@ cache::CacheStats System::answer_cache_stats(NodeId node) const {
   return caches_.at(node)->answers.stats();
 }
 
-cache::CacheStats System::paragraph_cache_stats(NodeId node) const {
-  if (caches_.empty()) return {};
-  return caches_.at(node)->paragraphs.stats();
-}
-
 std::optional<NodeId> System::affinity_target(std::uint64_t signature) const {
   std::vector<std::uint32_t> live;
   live.reserve(table_.members().size());
@@ -2388,13 +2383,6 @@ System::StagePlacement System::place_stage(NodeId host,
     out.weights.push_back(ms.weights[i]);
   }
   if (out.nodes.empty()) return {{host}, {1.0}};
-  if (!config_.partition.enable && out.nodes.size() > 1) {
-    // Partitioning disabled: keep only the heaviest-weighted node.
-    const auto best = static_cast<std::size_t>(
-        std::max_element(out.weights.begin(), out.weights.end()) -
-        out.weights.begin());
-    out = {{out.nodes[best]}, {1.0}};
-  }
   if (!(out.nodes.size() == 1 && out.nodes[0] == host)) migrations.inc();
   return out;
 }
@@ -2826,7 +2814,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // likely to hold its cached answer) unless that node is overloaded or
     // gone — then the paper's load-based rule decides as usual.
     std::optional<NodeId> preferred;
-    if (cache_on && config_.dispatch.cache_affinity) {
+    if (cache_on) {
       preferred = affinity_target(cache::question_signature(cache_key));
     }
     const auto decision =

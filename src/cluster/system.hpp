@@ -130,7 +130,7 @@ struct NetworkConfig {
 };
 
 /// Question-dispatcher knobs: the policy under test plus the thresholds of
-/// the embedded PR/AP dispatchers and the cache-affinity routing rule.
+/// the embedded PR/AP dispatchers.
 struct DispatchConfig {
   Policy policy = Policy::kDqa;
 
@@ -144,25 +144,10 @@ struct DispatchConfig {
       sched::single_task_load(sched::kPrWeights) + 1.0;
   double ap_underload_threshold =
       sched::single_task_load(sched::kApWeights) + 1.0;
-
-  /// Cache-affinity routing (effective only when caching is configured and
-  /// the policy has a question dispatcher, i.e. INTER/DQA): a question is
-  /// routed to the rendezvous-preferred node for its signature — the node
-  /// most likely to hold its cached answer — unless that node is down or
-  /// its load exceeds the pool's best by more than the dispatcher's
-  /// anti-ping-pong threshold, in which case the normal load-based
-  /// migration rule takes over. The paper's load functions therefore stay
-  /// authoritative under overload; affinity only biases placement while
-  /// the preferred node can absorb the work.
-  bool cache_affinity = true;
 };
 
 /// Intra-question partitioning knobs for the embedded PR/AP dispatchers.
 struct PartitionConfig {
-  /// DQA only: allow the embedded dispatchers to partition (low load).
-  /// When false, they only migrate — used to isolate migration effects.
-  bool enable = true;
-
   /// PR partitioning strategy: kRecv (the paper's choice — collection
   /// processing cost varies too widely for weight-based partitioning) or
   /// kSend (the ablation). kIsend is rejected: collections are unranked.
@@ -274,6 +259,11 @@ struct SystemConfig {
   PartitionConfig partition;
   /// Per-node answer/paragraph caches (see cache::CacheConfig). Disabled
   /// by default: uncached runs are bit-identical to the pre-cache system.
+  /// With caching on, INTER/DQA route each question to the
+  /// rendezvous-preferred node for its signature (the one most likely to
+  /// hold its cached answer) unless that node is down or overloaded past
+  /// the dispatcher's anti-ping-pong threshold; then the paper's
+  /// load-based migration rule decides.
   cache::CacheConfig cache;
   /// Admission control / load shedding (see AdmissionConfig). Disabled by
   /// default: unbounded runs are bit-identical to the pre-admission system.
@@ -361,8 +351,6 @@ class System {
   /// Lifetime operation counts of one node's caches (zero-initialized
   /// stats when caching is off).
   [[nodiscard]] cache::CacheStats answer_cache_stats(
-      sched::NodeId node) const;
-  [[nodiscard]] cache::CacheStats paragraph_cache_stats(
       sched::NodeId node) const;
 
   /// The shard placement map, when cfg.shard is enabled (tests/benches

@@ -141,7 +141,7 @@ void Fuzzer::harvest_survivors() {
     seen.push_back(key);
 
     // Final measurement of the minimal reproducer, replay-checked, and the
-    // pin that bench_adversarial will enforce.
+    // pin that `qadist_bench adversarial` will enforce.
     Observation final_run = observe(minimal, /*check_replay=*/true);
     for (const std::string& violation : final_run.violations) {
       stats_.violations.push_back("survivor " + minimal.name + ": " +

@@ -13,9 +13,9 @@
 namespace qadist::fuzz {
 
 /// Pinned regression envelope of a committed survivor: what the scenario
-/// measured when it was pinned, so bench_adversarial can fail the build if
-/// a later change makes the same scenario meaningfully *worse* (or lets
-/// the pathology silently vanish — see bench_adversarial).
+/// measured when it was pinned, so `qadist_bench adversarial` can fail the
+/// build if a later change makes the same scenario meaningfully *worse* (or
+/// lets the pathology silently vanish — see bench/bench_adversarial.cpp).
 struct Pin {
   bool present = false;
   double p99_seconds = 0.0;          ///< observed latency p99 at pin time

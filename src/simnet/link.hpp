@@ -104,7 +104,6 @@ class Link {
   /// Installs (or clears, with nullptr) the fault oracle consulted by
   /// send(). Not owned; must outlive the link's traffic.
   void set_fault_injector(LinkFaultInjector* injector) { injector_ = injector; }
-  [[nodiscard]] LinkFaultInjector* fault_injector() const { return injector_; }
 
   [[nodiscard]] Seconds per_message_latency() const {
     return per_message_latency_;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
+
+#include "benches.hpp"
 
 namespace qadist::bench {
 namespace {
@@ -20,7 +23,7 @@ TEST(BenchCliTest, NoArgumentsYieldsAllDefaults) {
   EXPECT_FALSE(cli->nodes.has_value());
   EXPECT_FALSE(cli->seed.has_value());
   EXPECT_FALSE(cli->policy.has_value());
-  EXPECT_FALSE(cli->strategy.has_value());
+  EXPECT_TRUE(cli->names.empty());
   EXPECT_FALSE(cli->out.has_value());
   EXPECT_FALSE(cli->smoke);
   EXPECT_EQ(cli->nodes_or(12), 12u);
@@ -30,14 +33,11 @@ TEST(BenchCliTest, NoArgumentsYieldsAllDefaults) {
 
 TEST(BenchCliTest, ParsesSeparateAndAttachedValues) {
   const auto cli = parse({"--nodes", "8", "--seed=42", "--policy", "inter",
-                          "--strategy=recv", "--out", "tmp/results",
-                          "--smoke"});
+                          "--out", "tmp/results", "--smoke"});
   ASSERT_TRUE(cli.has_value());
   EXPECT_EQ(cli->nodes_or(0), 8u);
   EXPECT_EQ(cli->seed_or(0), 42u);
   EXPECT_EQ(cli->policy_or(cluster::Policy::kDns), cluster::Policy::kInter);
-  EXPECT_EQ(cli->strategy_or(parallel::Strategy::kSend),
-            parallel::Strategy::kRecv);
   EXPECT_EQ(cli->out.value_or(""), "tmp/results");
   EXPECT_TRUE(cli->smoke);
 }
@@ -47,8 +47,6 @@ TEST(BenchCliTest, PolicyNamesAreCaseAndSeparatorInsensitive) {
             cluster::Policy::kTwoChoice);
   EXPECT_EQ(parse({"--policy", "TWO-CHOICE"})->policy,
             cluster::Policy::kTwoChoice);
-  EXPECT_EQ(parse({"--strategy", "IsEnD"})->strategy,
-            parallel::Strategy::kIsend);
 }
 
 TEST(BenchCliTest, ParsesDropRate) {
@@ -104,7 +102,6 @@ TEST(BenchCliTest, RejectsBadValuesWithAMessage) {
   EXPECT_FALSE(parse({"--seed"}, &error).has_value());
   EXPECT_FALSE(parse({"--policy", "fastest"}, &error).has_value());
   EXPECT_NE(error.find("fastest"), std::string::npos);
-  EXPECT_FALSE(parse({"--strategy", "bcast"}, &error).has_value());
   EXPECT_FALSE(parse({"--out="}, &error).has_value());
 }
 
@@ -112,7 +109,15 @@ TEST(BenchCliTest, RejectsUnknownArguments) {
   std::string error;
   EXPECT_FALSE(parse({"--frobnicate"}, &error).has_value());
   EXPECT_NE(error.find("--frobnicate"), std::string::npos);
-  EXPECT_FALSE(parse({"extra"}, &error).has_value());
+  EXPECT_FALSE(parse({"-x"}, &error).has_value());
+}
+
+TEST(BenchCliTest, PositionalArgumentsAreBenchNamesInOrder) {
+  const auto cli = parse({"table9_overhead", "--nodes", "4", "fig7_traces"});
+  ASSERT_TRUE(cli.has_value());
+  EXPECT_EQ(cli->names,
+            (std::vector<std::string>{"table9_overhead", "fig7_traces"}));
+  EXPECT_EQ(cli->nodes_or(0), 4u);  // a flag's value is not a name
 }
 
 TEST(BenchCliTest, HelpIsSignalledThroughTheErrorChannel) {
@@ -121,6 +126,61 @@ TEST(BenchCliTest, HelpIsSignalledThroughTheErrorChannel) {
   EXPECT_EQ(error, "help");
   EXPECT_FALSE(parse({"-h"}, &error).has_value());
   EXPECT_EQ(error, "help");
+}
+
+// A stand-in table: each bench counts its runs; "bad" fails.
+int g_runs = 0;
+int passing_bench(const BenchCli&) {
+  ++g_runs;
+  return 0;
+}
+int failing_bench(const BenchCli&) {
+  ++g_runs;
+  return 1;
+}
+constexpr BenchEntry kFakeBenches[] = {{"good", passing_bench},
+                                       {"bad", failing_bench}};
+
+int drive(std::vector<const char*> args) {
+  return bench_main(kFakeBenches,
+                    std::span<const char* const>(args.data(), args.size()));
+}
+
+TEST(BenchDriverTest, UnknownNameIsRejectedBeforeAnyBenchRuns) {
+  g_runs = 0;
+  EXPECT_EQ(drive({"good", "nope"}), 2);
+  EXPECT_EQ(g_runs, 0);
+  EXPECT_EQ(drive({}), 2);  // no name at all
+  EXPECT_EQ(drive({"good", "--nodes", "zero"}), 2);
+  EXPECT_EQ(g_runs, 0);
+}
+
+TEST(BenchDriverTest, RunsEveryNamedBenchEvenAfterAFailure) {
+  g_runs = 0;
+  EXPECT_EQ(drive({"good", "good"}), 0);
+  EXPECT_EQ(g_runs, 2);
+  g_runs = 0;
+  EXPECT_EQ(drive({"bad", "good"}), 1);
+  EXPECT_EQ(g_runs, 2);
+}
+
+TEST(BenchDriverTest, TableNamesAreUnique) {
+  std::set<std::string_view> seen;
+  for (const BenchEntry& entry : kBenches) {
+    EXPECT_TRUE(seen.insert(entry.name).second) << entry.name;
+  }
+}
+
+TEST(BenchDriverTest, HelpListsEveryNameInTheTable) {
+  g_runs = 0;
+  EXPECT_EQ(drive({"good", "--help"}), 0);  // prints usage(), runs nothing
+  EXPECT_EQ(g_runs, 0);
+  const std::string text = usage(kBenches);
+  for (const BenchEntry& entry : kBenches) {
+    EXPECT_NE(text.find("\n  " + std::string(entry.name) + "\n"),
+              std::string::npos)
+        << entry.name;
+  }
 }
 
 }  // namespace
